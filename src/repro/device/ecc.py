@@ -7,13 +7,17 @@ media fail as isolated dot errors (a defective or disturbed dot), so a
 single-error-correcting, double-error-detecting Hamming code over
 64-bit words — the classic DRAM/disk-header choice — is appropriate.
 
-The codec is vectorised with numpy (parity = bit-matrix product mod 2)
-so whole blocks encode/decode in a handful of array operations.
+The codec is driven by one precomputed per-byte table.  The Hamming
+syndrome of a 72-bit word is the XOR of the positions of its set bits,
+and its overall parity is the XOR of the bits, so packing each word
+into 9 bytes, gathering one table entry per byte (syndrome in the low
+seven bits, parity in the top bit) and XOR-reducing gives both at
+once.  :func:`decode` reads them off the received word; :func:`encode`
+reads them off the word with its check bits still zero and writes them
+into the check bits.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -22,52 +26,43 @@ from ..errors import ReadError
 DATA_BITS = 64
 PARITY_BITS = 8  # 7 Hamming + 1 overall (SECDED)
 CODE_BITS = DATA_BITS + PARITY_BITS
+CODE_BYTES = CODE_BITS // 8
 DATA_BYTES = DATA_BITS // 8
 
-
-def _build_matrices() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Construct the codeword layout.
-
-    Codeword positions 1..71 follow the standard Hamming convention:
-    positions that are powers of two hold parity, the rest hold data.
-    Position 0 holds the overall parity bit.  Returns:
-
-    * ``data_positions`` — codeword index of each of the 64 data bits,
-    * ``parity_masks`` — (64, 7) 0/1 matrix: data bit i participates in
-      Hamming parity j,
-    * ``syndrome_to_codeword`` — length-128 map from Hamming syndrome
-      to codeword position (0 where the syndrome is unused).
-    """
-    parity_positions = [1, 2, 4, 8, 16, 32, 64]
-    data_positions = [p for p in range(1, CODE_BITS) if p not in parity_positions]
-    assert len(data_positions) == DATA_BITS
-    masks = np.zeros((DATA_BITS, 7), dtype=np.uint8)
-    for i, pos in enumerate(data_positions):
-        for j in range(7):
-            if pos & (1 << j):
-                masks[i, j] = 1
-    syndrome_map = np.zeros(128, dtype=np.int64)
-    for pos in range(1, CODE_BITS):
-        syndrome_map[pos] = pos
-    return np.asarray(data_positions, dtype=np.int64), masks, syndrome_map
+# Codeword positions 1..71 follow the standard Hamming convention:
+# positions that are powers of two hold parity, the rest hold data.
+# Position 0 holds the overall parity bit.  Check bit j of a table
+# entry (j < 7: Hamming bit j, j = 7: overall parity) lives at
+# _CHECK_POSITIONS[j].
+_CHECK_POSITIONS = np.asarray([1, 2, 4, 8, 16, 32, 64, 0], dtype=np.intp)
+_DATA_POSITIONS = np.asarray(
+    [p for p in range(1, CODE_BITS) if p & (p - 1)], dtype=np.intp)
+assert len(_DATA_POSITIONS) == DATA_BITS
 
 
-_DATA_POSITIONS, _PARITY_MASKS, _SYNDROME_MAP = _build_matrices()
-_PARITY_POSITIONS = np.asarray([1, 2, 4, 8, 16, 32, 64], dtype=np.int64)
+def _build_table() -> np.ndarray:
+    """Flat ``(9 * 256)`` table: entry ``256 * k + v`` is the syndrome
+    (low seven bits) and parity (top bit) of byte value ``v`` at byte
+    ``k`` of a packed codeword (bits MSB-first)."""
+    table = np.zeros((CODE_BYTES, 256), dtype=np.uint8)
+    for k in range(CODE_BYTES):
+        for value in range(256):
+            for i in range(8):
+                if value & (0x80 >> i):
+                    table[k, value] ^= 0x80 | (8 * k + i)
+    return table.reshape(-1)
 
 
-def _bytes_to_words(data: bytes) -> np.ndarray:
-    """Unpack bytes into an (nwords, 64) bit matrix, MSB-first."""
-    if len(data) % DATA_BYTES:
-        raise ValueError("payload must be a multiple of 8 bytes")
-    raw = np.frombuffer(data, dtype=np.uint8)
-    bits = np.unpackbits(raw)
-    return bits.reshape(-1, DATA_BITS)
+_TABLE = _build_table()
+_TABLE_OFFSETS = np.arange(CODE_BYTES, dtype=np.intp) * 256
 
 
-def _words_to_bytes(words: np.ndarray) -> bytes:
-    """Pack an (nwords, 64) bit matrix back into bytes."""
-    return np.packbits(words.reshape(-1)).tobytes()
+def _check(code: np.ndarray) -> np.ndarray:
+    """Syndrome (bits 0..6) and overall parity (bit 7) of each word of
+    an ``(nwords, 72)`` bit matrix."""
+    packed = np.packbits(code.reshape(-1)).reshape(-1, CODE_BYTES)
+    return np.bitwise_xor.reduce(
+        _TABLE.take(packed + _TABLE_OFFSETS), axis=1)
 
 
 def encode(data: bytes) -> np.ndarray:
@@ -76,13 +71,19 @@ def encode(data: bytes) -> np.ndarray:
     Returns a uint8 array of length ``len(data)//8 * 72`` laid out as
     consecutive 72-bit codewords.
     """
-    words = _bytes_to_words(data)
-    nwords = words.shape[0]
-    hamming = (words @ _PARITY_MASKS) % 2  # (nwords, 7)
-    code = np.zeros((nwords, CODE_BITS), dtype=np.uint8)
-    code[:, _DATA_POSITIONS] = words
-    code[:, _PARITY_POSITIONS] = hamming
-    code[:, 0] = code[:, 1:].sum(axis=1) % 2  # overall parity
+    if len(data) % DATA_BYTES:
+        raise ValueError("payload must be a multiple of 8 bytes")
+    code = np.zeros((len(data) // DATA_BYTES, CODE_BITS), dtype=np.uint8)
+    code[:, _DATA_POSITIONS] = np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8)).reshape(-1, DATA_BITS)
+    # the data's syndrome, written into the Hamming bits, zeroes the
+    # word's syndrome; those bits add the syndrome's own parity to the
+    # overall parity (row 0 of the table holds a byte's parity in its
+    # top bit)
+    check = _check(code)
+    check ^= _TABLE.take(check & 0x7F) & 0x80
+    code[:, _CHECK_POSITIONS] = np.unpackbits(
+        check[:, None], axis=1, bitorder="little")
     return code.reshape(-1)
 
 
@@ -106,40 +107,27 @@ def decode(bits: np.ndarray) -> ECCResult:
 
     Corrects any single-bit error per 72-bit word; raises
     :class:`~repro.errors.ReadError` on an uncorrectable (double)
-    error.
+    error or on a syndrome that names no codeword position.
     """
     arr = np.asarray(bits, dtype=np.uint8).reshape(-1, CODE_BITS)
-    # Hamming syndrome: for each parity bit j, XOR of all positions
-    # with bit j set in their index (including the parity bit itself).
-    syndromes = np.zeros(arr.shape[0], dtype=np.int64)
-    for j in range(7):
-        positions = [p for p in range(1, CODE_BITS) if p & (1 << j)]
-        parity = arr[:, positions].sum(axis=1) % 2
-        syndromes |= parity.astype(np.int64) << j
-    overall = arr.sum(axis=1) % 2
-
-    bad = syndromes != 0
-    if bad.any():
-        # single error iff overall parity also trips; double otherwise
-        double = bad & (overall == 0)
-        if double.any():
-            raise ReadError(
-                f"uncorrectable ECC error in {int(double.sum())} word(s)")
-        rows = np.nonzero(bad)[0]
-        cols = _SYNDROME_MAP[syndromes[rows]]
-        if (cols >= CODE_BITS).any():
-            raise ReadError("invalid ECC syndrome")
+    check = _check(arr)
+    syndromes = check & 0x7F
+    odd = check >> 7
+    # a nonzero syndrome under even parity is a double error
+    double = (syndromes != 0) & (odd == 0)
+    if double.any():
+        raise ReadError(
+            f"uncorrectable ECC error in {int(double.sum())} word(s)")
+    # every odd-parity word holds one error, at the syndrome's position
+    # (position 0, the overall-parity bit, carries no data)
+    if (syndromes >= CODE_BITS).any():
+        raise ReadError("invalid ECC syndrome")
+    rows = np.flatnonzero(syndromes)
+    if len(rows):
         arr = arr.copy()
-        arr[rows, cols] ^= 1
-        corrected = int(len(rows))
-    else:
-        corrected = 0
-        # a flipped overall-parity bit alone is also a single error
-        # (position 0); it does not affect the data, so just count it.
-        corrected += int((overall == 1).sum())
-
-    data_words = arr[:, _DATA_POSITIONS]
-    return ECCResult(data=_words_to_bytes(data_words), corrected=corrected)
+        arr[rows, syndromes[rows]] ^= 1
+    data = np.packbits(arr.take(_DATA_POSITIONS, axis=1)).tobytes()
+    return ECCResult(data=data, corrected=int(odd.sum()))
 
 
 def codeword_length(payload_bytes: int) -> int:

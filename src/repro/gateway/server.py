@@ -46,6 +46,9 @@ Failure semantics:
   on an admin endpoint → **403**;
 * malformed path/body/query → **400**; overwrite/seal conflicts →
   **409**; device out of space → **507**;
+* a ``Content-Length`` that is not a decimal byte count → **400**,
+  one over :data:`MAX_BODY_BYTES` → **413**; both close the
+  connection, since the body is left unread;
 * a *degraded* fleet pass (``fleet_on_failure="degrade"`` with a
   member down) → **207 Multi-Status**: the body carries the surviving
   members' typed results plus the
@@ -598,6 +601,10 @@ class GatewayApp:
 class _GatewayHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-gateway/1.0"
+    #: A response goes out as two sends (headers, then body).  Under
+    #: Nagle the body waits for the ACK of the headers, which the
+    #: client's delayed ACK holds back ~40 ms; TCP_NODELAY sends it now.
+    disable_nagle_algorithm = True
     app: GatewayApp  # set by the server subclass
 
     def log_message(self, fmt: str, *args: Any) -> None:
@@ -614,6 +621,23 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def _content_length(self) -> Optional[int]:
+        """The request body's declared length, or None after answering
+        a bad one.  The unread body would desynchronise the next
+        request, so those answers close the connection."""
+        raw = self.headers.get("Content-Length", "0")
+        if not (raw.isascii() and raw.isdigit()):
+            failure = _bad_request(f"invalid Content-Length {raw!r}")
+        elif int(raw) > MAX_BODY_BYTES:
+            failure = _HTTPFailure(
+                413, "too_large",
+                f"request body exceeds {MAX_BODY_BYTES} bytes")
+        else:
+            return int(raw)
+        self._respond(failure.status, {"Connection": "close"},
+                      failure.body)
+        return None
+
     def _serve(self, method: str) -> None:
         app = self.server.app  # type: ignore[attr-defined]
         if not app.enter():
@@ -623,13 +647,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                           "retryable": True}})
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
-                self._respond(413, {}, {
-                    "error": {"code": "too_large",
-                              "message": "request body exceeds "
-                                         f"{MAX_BODY_BYTES} bytes",
-                              "retryable": False}})
+            length = self._content_length()
+            if length is None:
                 return
             body = self.rfile.read(length) if length else b""
             status, headers, payload = app.handle(

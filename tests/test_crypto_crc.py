@@ -4,6 +4,7 @@ import binascii
 
 import pytest
 
+import repro.crypto.crc as crc_module
 from repro.crypto.crc import crc16_ccitt, crc32
 
 
@@ -63,3 +64,34 @@ def test_crc32_seed_continuation_differs_from_fresh():
     first = crc32(b"part1")
     continued = crc32(b"part2", first)
     assert continued != crc32(b"part2")
+
+
+_SEEDED = [(b"", 0), (b"", 0x1234), (b"a", 0xFFFF), (b"123456789", 0),
+           (bytes(range(256)) * 3, 0xBEEF), (b"sector header", 0x8000)]
+
+
+@pytest.mark.parametrize("data,seed", _SEEDED)
+def test_crc16_ccitt_matches_binascii_crc_hqx(data, seed):
+    assert crc16_ccitt(data, seed) == binascii.crc_hqx(data, seed)
+
+
+@pytest.mark.parametrize("data,seed", _SEEDED)
+def test_scalar_reference_matches_fast_path(data, seed):
+    seed32 = seed * 0x10001  # spread into a full 32-bit register
+    fast = (crc32(data), crc32(data, seed32), crc16_ccitt(data),
+            crc16_ccitt(data, seed))
+    crc_module.USE_VECTORIZED = False
+    try:
+        scalar = (crc32(data), crc32(data, seed32), crc16_ccitt(data),
+                  crc16_ccitt(data, seed))
+    finally:
+        crc_module.USE_VECTORIZED = None
+    assert scalar == fast
+
+
+def test_crc32_continuation_equals_whole_message():
+    whole = bytes(range(256)) * 5
+    for split in (0, 1, 7, 536, len(whole)):
+        assert crc32(whole[split:], crc32(whole[:split])) == crc32(whole)
+        assert crc16_ccitt(whole[split:], crc16_ccitt(whole[:split])) \
+            == crc16_ccitt(whole)

@@ -36,6 +36,7 @@ from repro.api.fleet import FleetStore
 from repro.api.policy import ExecutionPolicy
 from repro.api.store import StoreConfig
 from repro.errors import ConfigurationError
+from repro.gateway import server as server_module
 from repro.gateway import (
     GatewayApp,
     GatewayClient,
@@ -391,6 +392,82 @@ def test_error_body_shape_is_stable(stack):
     assert set(body) == {"error"}
     assert set(body["error"]) == {"code", "message", "retryable"}
     conn.close()
+
+
+def _raw_exchange(address, request):
+    """Send raw request bytes; return ``(status, headers, body)`` of
+    the reply, read until the server closes the connection (a server
+    that keeps it open fails the read with a timeout)."""
+    host, port = address.split(":")
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+def _put_with_length(length):
+    return (b"POST /v1/t/acme/put HTTP/1.1\r\nHost: gateway\r\n"
+            b"Authorization: Bearer acme-rw\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n")
+
+
+def test_oversized_body_answers_413_and_closes(stack):
+    server, _fleet, _twin = stack
+    too_long = str(server_module.MAX_BODY_BYTES + 1).encode()
+    status, headers, body = _raw_exchange(
+        server.address, _put_with_length(too_long))
+    assert status == 413
+    assert headers["Connection"] == "close"
+    assert body == {"error": {"code": "too_large",
+                              "message": body["error"]["message"],
+                              "retryable": False}}
+
+
+@pytest.mark.parametrize("length", [b"-1", b"abc", b"1.5", b"+2", b""])
+def test_bad_content_length_answers_400_and_closes(stack, length):
+    server, fleet, twin = stack
+    status, headers, body = _raw_exchange(
+        server.address, _put_with_length(length) + b"{}")
+    assert status == 400
+    assert headers["Connection"] == "close"
+    assert body == {"error": {"code": "bad_request",
+                              "message": body["error"]["message"],
+                              "retryable": False}}
+    assert length.decode() in body["error"]["message"]
+    # nothing reached the fleet, and the gateway still serves
+    assert _fingerprints(fleet) == _fingerprints(twin)
+    assert GatewayClient(server.address, "acme-rw",
+                         tenant="acme").healthz()
+
+
+def test_server_side_sockets_set_tcp_nodelay(stack, monkeypatch):
+    """Each response goes out as two sends (headers, then body); only
+    TCP_NODELAY keeps the client's delayed ACK from stalling the
+    second one, so the option must be set on every served socket."""
+    server, _fleet, _twin = stack
+    seen = []
+    handler = server_module._GatewayHandler
+    original_setup = handler.setup
+
+    def setup(self):
+        original_setup(self)
+        seen.append(self.connection.getsockopt(socket.IPPROTO_TCP,
+                                               socket.TCP_NODELAY))
+
+    monkeypatch.setattr(handler, "setup", setup)
+    client = GatewayClient(server.address, "acme-rw", tenant="acme")
+    client.put("/nodelay", b"x")
+    assert client.get("/nodelay") == b"x"
+    client.close()
+    assert seen and all(seen)
 
 
 # -- client retries (opt-in) ----------------------------------------------------
