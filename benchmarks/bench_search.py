@@ -10,12 +10,14 @@ dataclasses, no fleet in the loop so the numbers isolate the index):
 * **ingest** — ~3k journaled events (puts, seals, deletes, audit
   passes with per-member verdict records) across four tenants and
   four members, timed as sustained events/s;
-* **query floor** — a selective tenant+field query and a free-term
-  query answered via the inverted index vs :func:`scan_search`, the
-  naive oracle over the same documents.  Both paths share
-  ``assemble_result``, so the results must be ``==`` and the indexed
-  path must run ≥ :data:`FLOORS` ``indexed_speedup`` × faster
-  (best-of-:data:`REPEATS` each);
+* **query floors** — one query per class (a single-path lookup, two
+  tenant+field conjunctions, a free term) answered via the inverted
+  index vs :func:`scan_search`, the naive oracle over the same
+  documents.  Both paths share ``assemble_result``, so the results
+  must be ``==``, and each class must run at least its own
+  :data:`FLOORS` ``indexed_speedup`` × faster (best-of-:data:`REPEATS`
+  each).  A floor on the best class alone would pass on the path
+  lookup while the conjunctions regressed;
 * **rebuild identity** — ``rebuild()`` replays the hash-chained
   journal into a byte-identical index, and the chain verifies.
 
@@ -42,15 +44,25 @@ DELETE_EVERY = 20  # every 20th unsealed object leaves again
 N_AUDITS = 2
 REPEATS = 5
 
+#: (query class, query, facets).
 QUERIES = (
-    ("path:/t/t1/ledger/entry-0013", ()),
-    ("tenant:t1 sealed:true", ("member", "verdict")),
-    ("verdict:intact tenant:t2", ("member",)),
-    ("ledger", ("tenant",)),
+    ("path lookup", "path:/t/t1/ledger/entry-0013", ()),
+    ("tenant+sealed conjunction", "tenant:t1 sealed:true",
+     ("member", "verdict")),
+    ("verdict+tenant conjunction", "verdict:intact tenant:t2", ("member",)),
+    ("free term", "ledger", ("tenant",)),
 )
 
-FLOORS = {"indexed_speedup": 10.0, "rebuild_identity": True,
-          "oracle_equality": True}
+#: Per-class speedup floors, each below the worst of ten runs on a
+#: 2-vCPU host (worst: 25.1, 1.37, 2.27, 6.55; BENCH_search.json holds
+#: the last run).  The conjunctions match 300-400 documents, where the
+#: shared ``assemble_result`` dominates both paths, so their floors sit
+#: close to 1x.
+FLOORS = {"indexed_speedup": {"path lookup": 20.0,
+                              "tenant+sealed conjunction": 1.25,
+                              "verdict+tenant conjunction": 2.0,
+                              "free term": 5.0},
+          "rebuild_identity": True, "oracle_equality": True}
 
 
 def _build_corpus():
@@ -102,8 +114,7 @@ def test_indexed_search_beats_full_scan(show):
     assert events > 1500, events
 
     rows = []
-    speedups = []
-    for q, facets in QUERIES:
+    for label, q, facets in QUERIES:
         indexed, t_indexed = _best_of(
             lambda q=q, facets=facets: index.search(q, facets=facets))
         scanned, t_scan = _best_of(
@@ -112,12 +123,12 @@ def test_indexed_search_beats_full_scan(show):
         assert indexed == scanned, q  # shared assemble_result: ==
         assert indexed.total > 0, q   # a floor over an empty query
         speedup = t_scan / t_indexed
-        speedups.append(speedup)
-        rows.append([q, indexed.total, round(t_indexed * 1e6, 1),
-                     round(t_scan * 1e6, 1), round(speedup, 1)])
+        rows.append([label, q, indexed.total, round(t_indexed * 1e6, 1),
+                     round(t_scan * 1e6, 1), round(speedup, 2)])
 
-    # the floor holds for the selective queries the gateway serves
-    assert max(speedups) >= FLOORS["indexed_speedup"], speedups
+    below = [(row[0], row[-1]) for row in rows
+             if row[-1] < FLOORS["indexed_speedup"][row[0]]]
+    assert not below, below
 
     index.verify_journal()
     rebuilt, rebuild_wall = _best_of(index.rebuild, repeats=1)
@@ -125,7 +136,7 @@ def test_indexed_search_beats_full_scan(show):
     assert index.alerts == []  # intact corpus: no standing query fired
 
     show(format_table(
-        ["query", "hits", "indexed us", "scan us", "speedup"],
+        ["class", "query", "hits", "indexed us", "scan us", "speedup"],
         rows,
         title=f"evidence index vs full scan, {len(index.documents)} "
               f"docs, {events} journaled events"))
@@ -138,11 +149,12 @@ def test_indexed_search_beats_full_scan(show):
         "ingest_wall_s": round(ingest_wall, 6),
         "ingest_events_per_second": round(events / ingest_wall, 1),
         "queries": [
-            {"q": q, "hits": hits, "indexed_us": indexed_us,
-             "scan_us": scan_us, "speedup": speedup}
-            for q, hits, indexed_us, scan_us, speedup in rows
+            {"class": label, "q": q, "hits": hits,
+             "indexed_us": indexed_us, "scan_us": scan_us,
+             "speedup": speedup,
+             "floor": FLOORS["indexed_speedup"][label]}
+            for label, q, hits, indexed_us, scan_us, speedup in rows
         ],
-        "best_speedup": round(max(speedups), 2),
         "rebuild_wall_s": round(rebuild_wall, 6),
         "rebuild_identity": True,
         "oracle_equality": True,

@@ -88,7 +88,7 @@ from ..parallel import (
 
 #: Store-layer names, imported lazily (PEP 562) so that the policy
 #: layer stays importable from the bottom of the package's import
-#: graph (``repro.vectorize`` and ``repro.crypto`` resolve through it
+#: graph (``repro.crypto`` and the device layer resolve through it
 #: while the device/fs modules the store needs are still loading).
 _STORE_EXPORTS = (
     "TamperEvidentStore",

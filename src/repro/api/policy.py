@@ -1,50 +1,19 @@
-"""Execution policy: one lazy resolution order for every engine switch.
+"""Execution policy: one lazy resolution order for every setting.
 
-Before ``repro.api`` existed, engine selection was smeared across the
-package: an *import-time* read of ``REPRO_SPAN_ENGINE`` pinned
-``crypto.crc``/``crypto.manchester`` for the life of the process,
-``DeviceConfig.span_engine`` captured another copy, and individual
-calls took ``vectorized=``/``batched=`` flags.  This module replaces
-all of that with a single resolution order, evaluated **lazily at each
-decision point**:
+Every ``REPRO_*`` setting is one row of a private table, resolved at
+each decision point by one walk: **explicit argument** > **context**
+(the innermost ``with repro.engine(...):`` that sets it) > **installed
+policy** (:func:`set_policy`) > **environment** (read at resolution
+time, so exporting a variable after ``import repro`` works) >
+**default**.  Gateway deployment rows have no policy field and resolve
+explicit > environment > default.  API.md §Execution policy lists
+every row: field, variable, default and what a bad environment value
+does.
 
-1. **explicit argument** — a ``vectorized=``/``span_engine=`` flag (or
-   an engine name) passed by the caller always wins;
-2. **context override** — the innermost active
-   ``with repro.engine("scalar"):`` block;
-3. **installed policy** — the :class:`ExecutionPolicy` set with
-   :func:`set_policy`;
-4. **environment** — ``REPRO_SPAN_ENGINE``, read at resolution time
-   (not import time), so exporting it *after* ``import repro`` works;
-5. **default** — the ``vectorized`` engine.
-
-Engines are named entries in a registry so future backends (sharded,
-async, remote fleets) can register themselves and be selected through
-the same chain; the built-ins are ``"vectorized"`` (the PR 1-2
-span/batched fast paths) and ``"scalar"`` (the paper's literal per-dot
-reference protocol).
-
-The SHA-256 backend (``hashlib`` vs the from-scratch pure-Python
-implementation) resolves through the same chain via
-:attr:`ExecutionPolicy.sha256_backend` /
-``repro.engine(sha256="pure")`` / ``REPRO_SHA256_BACKEND``.
-
-The *fleet executor* — how :class:`~repro.workloads.fleet.FleetScheduler`
-and :class:`~repro.api.fleet.FleetStore` dispatch per-member passes
-(``serial`` / ``thread`` / ``process`` / ``rpc``, see
-:mod:`repro.parallel`) — resolves through the chain too, via
-:attr:`ExecutionPolicy.executor` / ``repro.engine(executor="thread")``
-/ ``REPRO_FLEET_EXECUTOR``, with a worker-count bound alongside it
-(:attr:`ExecutionPolicy.max_workers` / ``REPRO_FLEET_WORKERS``) and,
-for the remote executor, the worker host set
-(:attr:`ExecutionPolicy.fleet_hosts` /
-``repro.engine(fleet_hosts=...)`` / ``REPRO_FLEET_HOSTS``).  All are
-read lazily at each dispatch.
-
-This module deliberately imports nothing from the rest of the package
-at import time (it sits below every other layer in the import graph);
-executor-name validation imports :mod:`repro.parallel` lazily, which
-itself depends only on this module.
+This module imports nothing from the rest of the package at import
+time (it sits below every other layer in the import graph); the
+checks that need :mod:`repro.parallel` or :mod:`repro.errors` import
+them lazily.
 """
 
 from __future__ import annotations
@@ -53,93 +22,15 @@ import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
-#: Environment variable selecting the default engine (lazily read).
-ENGINE_ENV_VAR = "REPRO_SPAN_ENGINE"
-
-#: Environment variable selecting the default SHA-256 backend.
-SHA256_ENV_VAR = "REPRO_SHA256_BACKEND"
-
-#: Environment variable selecting the default fleet executor (lazy).
-EXECUTOR_ENV_VAR = "REPRO_FLEET_EXECUTOR"
-
-#: Environment variable bounding fleet executor workers (lazy).
-FLEET_WORKERS_ENV_VAR = "REPRO_FLEET_WORKERS"
-
-#: Environment variable naming remote fleet worker hosts for the
-#: ``rpc`` executor (comma-separated ``host:port`` items, lazy).
-FLEET_HOSTS_ENV_VAR = "REPRO_FLEET_HOSTS"
-
-#: Environment variable enabling the ``rpc`` executor's session mode
-#: (pin-once member snapshots + pipelined dispatch, lazy).
-FLEET_SESSIONS_ENV_VAR = "REPRO_FLEET_SESSIONS"
-
-#: Environment variable setting the ``rpc`` executor's per-request
-#: socket deadline in seconds (lazy; ``0`` or negative disables).
-FLEET_TIMEOUT_ENV_VAR = "REPRO_FLEET_TIMEOUT"
-
-#: Environment variable setting the ``rpc`` executor's failover
-#: re-dispatch budget (waves of re-placement on surviving hosts, lazy).
-FLEET_RETRIES_ENV_VAR = "REPRO_FLEET_RETRIES"
-
-#: Environment variable selecting the ``rpc`` executor's exhausted-
-#: member handling: ``raise`` (abort the pass) or ``degrade``
-#: (return typed ``MemberFailure`` records in a partial pass, lazy).
-FLEET_ON_FAILURE_ENV_VAR = "REPRO_FLEET_ON_FAILURE"
-
-#: Recognised ``fleet_on_failure`` modes.
+#: Recognised ``fleet_on_failure`` modes (abort the pass / fold failures).
 FLEET_ON_FAILURE_MODES = ("raise", "degrade")
-
-#: Environment variable holding the fleet's shared HMAC secret: when
-#: set, every SRPC frame (client and worker side) is signed and
-#: unsigned frames are rejected (lazy; empty disables).
-FLEET_SECRET_ENV_VAR = "REPRO_FLEET_SECRET"
-
-#: Environment variable naming the HTTP gateway's bind address
-#: (``host:port``, lazy).
-GATEWAY_BIND_ENV_VAR = "REPRO_GATEWAY_BIND"
-
-#: Environment variable holding the gateway's inline token spec
-#: (``token=grant,grant;token=...`` — see :mod:`repro.gateway.auth`).
-GATEWAY_TOKENS_ENV_VAR = "REPRO_GATEWAY_TOKENS"
-
-#: Environment variable naming the gateway's token file (one
-#: ``token=grant,...`` entry per line, ``#`` comments).
-GATEWAY_TOKEN_FILE_ENV_VAR = "REPRO_GATEWAY_TOKEN_FILE"
-
-#: Gateway bind address when no layer names one: loopback only — an
-#: operator must *choose* to expose the service on a real interface.
-DEFAULT_GATEWAY_BIND = "127.0.0.1:8473"
-
-#: Environment variable setting the evidence-search highlighter's
-#: fragment size in characters (lazy; see :mod:`repro.search`).
-SEARCH_FRAGMENT_SIZE_ENV_VAR = "REPRO_SEARCH_FRAGMENT_SIZE"
-
-#: Environment variable setting how many highlighted fragments a
-#: search hit carries (lazy; ``0`` means the whole text, highlighted).
-SEARCH_FRAGMENT_COUNT_ENV_VAR = "REPRO_SEARCH_FRAGMENT_COUNT"
-
-#: Environment variable bounding how many hits one search returns
-#: (lazy; facet counts always cover the full match set).
-SEARCH_MAX_HITS_ENV_VAR = "REPRO_SEARCH_MAX_HITS"
-
-#: Highlighter fragment size when no layer sets one.
-DEFAULT_SEARCH_FRAGMENT_SIZE = 80
-
-#: Highlighted fragments per hit when no layer sets a count.
-DEFAULT_SEARCH_FRAGMENT_COUNT = 3
-
-#: Hits per search when no layer sets a bound.
-DEFAULT_SEARCH_MAX_HITS = 50
-
-#: Executor used when no layer pins one: the reference dispatch.
-DEFAULT_EXECUTOR = "serial"
-
-_FALSEY = ("0", "false", "no", "off", "scalar")
 
 #: Recognised SHA-256 backends (see :mod:`repro.crypto.sha256`).
 SHA256_BACKENDS = ("hashlib", "pure")
+
+_FALSEY = ("0", "false", "no", "off", "scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +39,10 @@ SHA256_BACKENDS = ("hashlib", "pure")
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One registered execution engine.
-
-    Attributes:
-        name: registry key, as accepted by :func:`repro.engine` and
-            :attr:`ExecutionPolicy.engine`.
-        vectorized: whether the span/batched numpy fast paths run.
-            Every current consumer reduces an engine to this flag;
-            richer backends (sharding, async dispatch) can carry more
-            behaviour on subclasses while keeping the flag meaningful
-            for the layers below them.
-        description: one-line human description.
-    """
+    """One registered execution engine: ``name`` is the key
+    :func:`repro.engine` and :attr:`ExecutionPolicy.engine` accept;
+    ``vectorized`` says whether the span/batched numpy fast paths run
+    (every current consumer reduces an engine to this flag)."""
 
     name: str
     vectorized: bool
@@ -170,10 +53,8 @@ _ENGINES: Dict[str, EngineSpec] = {}
 
 
 def register_engine(spec: EngineSpec, *, replace: bool = False) -> EngineSpec:
-    """Register an engine so policies and contexts can select it by name.
-
-    Raises ``ValueError`` for a duplicate name unless ``replace``.
-    """
+    """Register an engine so policies and contexts can select it by
+    name; ``ValueError`` for a duplicate name unless ``replace``."""
     if not spec.name or not spec.name.isidentifier():
         raise ValueError(f"engine name must be an identifier: {spec.name!r}")
     if spec.name in _ENGINES and not replace:
@@ -213,62 +94,251 @@ SCALAR_ENGINE = register_engine(EngineSpec(
 
 
 # ---------------------------------------------------------------------------
-# Policy objects
+# Checks canonicalise a value or raise; a row's check runs on the
+# explicit argument and on the policy field alike.  Environment readers
+# ``parse(raw, check)`` return the value, or _IGNORE to fall through to
+# the default, or raise.
+
+
+def _check_engine(value: Union[bool, str]) -> str:
+    if isinstance(value, bool):  # the legacy vectorized=/span_engine= flags
+        return "vectorized" if value else "scalar"
+    return get_engine(value).name
+
+
+def _choice(label: str, choices: Tuple[str, ...]) -> Callable[[Any], str]:
+    def check(value: Any) -> str:
+        if value not in choices:
+            raise ValueError(
+                f"unknown {label} {value!r}; expected one of {choices}")
+        return value
+    return check
+
+
+def _check_executor(value: str) -> str:
+    from .. import parallel  # lazy: keeps this module at the bottom
+    return parallel.get_executor_spec(value).name
+
+
+def _int_at_least(label: str, minimum: int) -> Callable[[Any], int]:
+    def check(value: Any) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{label} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{label} must be >= {minimum}")
+        return value
+    return check
+
+
+def _instance(label: str, kind: type,
+              nonempty: bool = False) -> Callable[[Any], Any]:
+    def check(value: Any) -> Any:
+        if not isinstance(value, kind):
+            raise TypeError(f"{label} must be a {kind.__name__} or None")
+        if nonempty and not value:
+            raise ValueError(f"{label} must be non-empty")
+        return value
+    return check
+
+
+def _check_hosts(value: Union[str, Tuple[str, ...]]) -> Tuple[str, ...]:
+    from ..parallel import remote  # lazy: only parsing loads the wire module
+    return remote.parse_hosts(value)
+
+
+def _check_bind(value: str) -> str:
+    from ..parallel import remote  # lazy, as above
+    return "%s:%d" % remote.parse_host(value)
+
+
+def _check_timeout(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("fleet_timeout must be a number or None")
+    if value <= 0:
+        raise ValueError("fleet_timeout must be > 0 seconds")
+    return float(value)
+
+
+def _check_path(value: Any) -> str:
+    path = os.fspath(value)  # TypeError for anything that is not a path
+    if not isinstance(path, str) or not path.strip():
+        raise ValueError("gateway_token_file must be a non-empty path")
+    return path
+
+
+def _check_lock_mode(value: Any) -> str:
+    from .fleet import FleetStore  # lazy: the gateway has it loaded
+    return _choice("gateway lock mode", FleetStore.LOCK_MODES)(value)
+
+
+def _gateway(check: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """Gateway rows report every rejection as ``ConfigurationError``."""
+    def strict(value: Any) -> Any:
+        try:
+            return check(value)
+        except (TypeError, ValueError) as exc:
+            from ..errors import ConfigurationError  # lazy, see module doc
+            raise ConfigurationError(str(exc)) from None
+    return strict
+
+
+_IGNORE = object()
+
+
+def _env(convert: Callable[[str], Any], strict: bool = False) -> Callable:
+    """A blank value is ignored, and so is a bad one unless ``strict``
+    (a stale export must not crash a fleet node)."""
+    def parse(raw: str, check: Callable) -> Any:
+        if not raw.strip():
+            return _IGNORE
+        try:
+            return check(convert(raw))
+        except (TypeError, ValueError):
+            if strict:
+                raise
+            return _IGNORE
+    return parse
+
+
+def _token(raw: str) -> str:
+    return raw.strip().lower()
+
+
+def _int_or_raw(raw: str) -> Any:
+    try:
+        return int(raw)
+    except ValueError:
+        return raw  # the row's check rejects it with its own message
+
+
+def _engine_env(raw: str, check: Callable) -> str:
+    """Never ignored: falsey tokens mean scalar, unknown ones vectorized."""
+    token = _token(raw)
+    if token in _ENGINES:
+        return token
+    return "scalar" if token in _FALSEY else "vectorized"
+
+
+def _timeout_env(raw: str, check: Callable) -> Any:
+    try:
+        seconds = float(raw)
+    except ValueError:
+        return _IGNORE
+    return check(seconds) if seconds > 0 else None  # <= 0: disabled
+
+
+@dataclass(frozen=True)
+class _Knob:
+    """One row of the settings table.  ``name`` is the
+    :class:`ExecutionPolicy` field and :func:`describe_policy` key
+    (``source_key`` overrides ``<name>_source``); ``policy=False`` rows
+    have no field; ``secret`` rows are described as ``<name>_set``."""
+
+    name: str
+    env: str
+    check: Callable[[Any], Any]
+    parse: Callable[[str, Callable], Any]
+    default: Any = None
+    secret: bool = False
+    policy: bool = True
+    source_key: str = ""
+
+
+def _int_knob(name: str, env: str, minimum: int, default: Any = None) -> _Knob:
+    return _Knob(name, env, _int_at_least(name, minimum), _env(int), default)
+
+
+def _gateway_int(name: str, env: str, minimum: int, default: int) -> _Knob:
+    return _Knob(name, env, _gateway(_int_at_least(env, minimum)),
+                 _env(_int_or_raw, strict=True), default, policy=False)
+
+
+_ENGINE = _Knob("engine", "REPRO_SPAN_ENGINE", _check_engine, _engine_env,
+                "vectorized")
+_SHA256 = _Knob("sha256_backend", "REPRO_SHA256_BACKEND",
+                _choice("sha256 backend", SHA256_BACKENDS), _env(_token),
+                "hashlib", source_key="sha256_source")
+_EXECUTOR = _Knob("executor", "REPRO_FLEET_EXECUTOR", _check_executor,
+                  _env(_token), "serial")
+_MAX_WORKERS = _int_knob("max_workers", "REPRO_FLEET_WORKERS", 1)
+_FLEET_HOSTS = _Knob("fleet_hosts", "REPRO_FLEET_HOSTS", _check_hosts,
+                     _env(str, strict=True))
+_FLEET_SESSIONS = _Knob("fleet_sessions", "REPRO_FLEET_SESSIONS",
+                        _instance("fleet_sessions", bool),
+                        _env(lambda raw: _token(raw) not in _FALSEY), False)
+_FLEET_TIMEOUT = _Knob("fleet_timeout", "REPRO_FLEET_TIMEOUT",
+                       _check_timeout, _timeout_env)
+_FLEET_RETRIES = _int_knob("fleet_retries", "REPRO_FLEET_RETRIES", 0, 0)
+_FLEET_ON_FAILURE = _Knob(
+    "fleet_on_failure", "REPRO_FLEET_ON_FAILURE",
+    _choice("fleet_on_failure mode", FLEET_ON_FAILURE_MODES), _env(_token),
+    "raise")
+_FLEET_SECRET = _Knob("fleet_secret", "REPRO_FLEET_SECRET",
+                      _instance("fleet_secret", str, nonempty=True),
+                      _env(str.strip), secret=True)
+_GATEWAY_BIND = _Knob("gateway_bind", "REPRO_GATEWAY_BIND", _check_bind,
+                      _env(str, strict=True), "127.0.0.1:8473")
+_GATEWAY_TOKEN_FILE = _Knob("gateway_token_file", "REPRO_GATEWAY_TOKEN_FILE",
+                            _check_path, _env(str.strip))
+_SEARCH_FRAGMENT_SIZE = _int_knob("search_fragment_size",
+                                  "REPRO_SEARCH_FRAGMENT_SIZE", 1, 80)
+_SEARCH_FRAGMENT_COUNT = _int_knob("search_fragment_count",
+                                   "REPRO_SEARCH_FRAGMENT_COUNT", 0, 3)
+_SEARCH_MAX_HITS = _int_knob("search_max_hits", "REPRO_SEARCH_MAX_HITS", 1, 50)
+_GATEWAY_LOCK_MODE = _Knob("gateway_lock_mode", "REPRO_GATEWAY_LOCK_MODE",
+                           _gateway(_check_lock_mode),
+                           _env(_token, strict=True), "shard", policy=False)
+_GATEWAY_MEMBERS = _gateway_int("gateway_members", "REPRO_GATEWAY_MEMBERS",
+                                1, 4)
+_GATEWAY_SEED = _gateway_int("gateway_seed", "REPRO_GATEWAY_SEED", 0, 2008)
+_GATEWAY_BLOCKS = _gateway_int("gateway_blocks", "REPRO_GATEWAY_BLOCKS",
+                               64, 512)
+_GATEWAY_TOKENS = _Knob("gateway_tokens", "REPRO_GATEWAY_TOKENS",
+                        _gateway(_instance("gateway token spec", str,
+                                           nonempty=True)),
+                        _env(str, strict=True), secret=True, policy=False)
+
+#: Every row; the policy rows in :class:`ExecutionPolicy` field order.
+_KNOBS = (_ENGINE, _SHA256, _EXECUTOR, _MAX_WORKERS, _FLEET_HOSTS,
+          _FLEET_SESSIONS, _FLEET_TIMEOUT, _FLEET_RETRIES, _FLEET_ON_FAILURE,
+          _FLEET_SECRET, _GATEWAY_BIND, _GATEWAY_TOKEN_FILE,
+          _SEARCH_FRAGMENT_SIZE, _SEARCH_FRAGMENT_COUNT, _SEARCH_MAX_HITS,
+          _GATEWAY_LOCK_MODE, _GATEWAY_MEMBERS, _GATEWAY_SEED,
+          _GATEWAY_BLOCKS, _GATEWAY_TOKENS)
+_POLICY_KNOBS = tuple(knob for knob in _KNOBS if knob.policy)
+
+ENGINE_ENV_VAR = _ENGINE.env
+SHA256_ENV_VAR = _SHA256.env
+EXECUTOR_ENV_VAR = _EXECUTOR.env
+FLEET_WORKERS_ENV_VAR = _MAX_WORKERS.env
+FLEET_HOSTS_ENV_VAR = _FLEET_HOSTS.env
+FLEET_SESSIONS_ENV_VAR = _FLEET_SESSIONS.env
+FLEET_TIMEOUT_ENV_VAR = _FLEET_TIMEOUT.env
+FLEET_RETRIES_ENV_VAR = _FLEET_RETRIES.env
+FLEET_ON_FAILURE_ENV_VAR = _FLEET_ON_FAILURE.env
+FLEET_SECRET_ENV_VAR = _FLEET_SECRET.env
+GATEWAY_BIND_ENV_VAR = _GATEWAY_BIND.env
+GATEWAY_TOKENS_ENV_VAR = _GATEWAY_TOKENS.env
+GATEWAY_TOKEN_FILE_ENV_VAR = _GATEWAY_TOKEN_FILE.env
+SEARCH_FRAGMENT_SIZE_ENV_VAR = _SEARCH_FRAGMENT_SIZE.env
+SEARCH_FRAGMENT_COUNT_ENV_VAR = _SEARCH_FRAGMENT_COUNT.env
+SEARCH_MAX_HITS_ENV_VAR = _SEARCH_MAX_HITS.env
+DEFAULT_EXECUTOR = _EXECUTOR.default
+DEFAULT_GATEWAY_BIND = _GATEWAY_BIND.default
+DEFAULT_SEARCH_FRAGMENT_SIZE = _SEARCH_FRAGMENT_SIZE.default
+DEFAULT_SEARCH_FRAGMENT_COUNT = _SEARCH_FRAGMENT_COUNT.default
+DEFAULT_SEARCH_MAX_HITS = _SEARCH_MAX_HITS.default
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """A bundle of engine choices, installable or usable as a context.
+    """A bundle of setting choices, installable or usable as a context.
 
-    ``None`` fields mean "defer to the next layer of the resolution
-    order" — an installed ``ExecutionPolicy()`` with all defaults is
-    indistinguishable from no policy at all.
-
-    Attributes:
-        engine: registered engine name (``"vectorized"``/``"scalar"``
-            or a custom registration).
-        sha256_backend: ``"hashlib"`` or ``"pure"``.
-        executor: registered fleet executor name (``"serial"`` /
-            ``"thread"`` / ``"process"`` / ``"rpc"`` or a custom
-            registration in :mod:`repro.parallel`).
-        max_workers: worker bound for pool executors (None = one per
-            CPU core, capped at the member count).
-        fleet_hosts: remote worker addresses for the ``rpc`` executor
-            (``host:port`` strings, or one comma-separated string);
-            stored canonicalised (validated, de-duplicated, sorted) so
-            two policies naming the same hosts in different orders are
-            the same policy.
-        fleet_sessions: whether the ``rpc`` executor runs in session
-            mode — members pinned once on their ring-assigned worker,
-            task descriptors (not snapshots) per pass, pipelined
-            dispatch.  A plain bool by design: resolving it must never
-            load the wire-protocol module.
-        fleet_timeout: per-request socket deadline in seconds for the
-            ``rpc`` executor (None = no deadline; a hung worker blocks
-            until the fault is external).
-        fleet_retries: failover re-dispatch budget — how many waves of
-            re-placement on surviving hosts a pass may attempt for
-            members whose host died (None = defer; the chain's default
-            is 0, fail fast).
-        fleet_on_failure: ``"raise"`` or ``"degrade"`` — what an rpc
-            pass does with members that exhausted their retries.
-            Plain values by design, like ``fleet_sessions``: resolving
-            any of the three never loads the wire-protocol module.
-        fleet_secret: shared HMAC secret for the ``rpc`` executor's
-            wire frames.  When any layer resolves a secret, every
-            frame both directions is HMAC-SHA256-signed and unsigned
-            frames are rejected (see :mod:`repro.parallel.remote`).
-            A plain string by design, like ``fleet_sessions``.
-        gateway_bind: ``host:port`` the HTTP gateway binds
-            (:mod:`repro.gateway`); stored canonicalised.
-        gateway_token_file: path to the gateway's bearer-token file
-            (one ``token=grant,...`` entry per line).
-        search_fragment_size: evidence-search highlighter fragment
-            size in characters (:mod:`repro.search`).
-        search_fragment_count: highlighted fragments per search hit
-            (``0`` = the whole text, highlighted).
-        search_max_hits: hits one search returns (facet counts always
-            cover the full match set).
+    Each field is a policy row of the table in API.md §Execution
+    policy; ``None`` defers to the next layer.  A set field goes through
+    the check of its ``resolve_*`` function's explicit argument, which
+    canonicalises it (hosts sorted, bind as ``host:port``, timeout a
+    float).  ``fleet_secret`` never shows in reprs or diagnostics.
     """
 
     engine: Optional[str] = None
@@ -280,8 +350,6 @@ class ExecutionPolicy:
     fleet_timeout: Optional[float] = None
     fleet_retries: Optional[int] = None
     fleet_on_failure: Optional[str] = None
-    # repr=False: the secret must never surface in reprs, logs, or
-    # describe_policy() output — only the fleet_secret_set bool does
     fleet_secret: Optional[str] = field(default=None, repr=False)
     gateway_bind: Optional[str] = None
     gateway_token_file: Optional[str] = None
@@ -290,72 +358,10 @@ class ExecutionPolicy:
     search_max_hits: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.engine is not None:
-            get_engine(self.engine)  # validates
-        if self.sha256_backend is not None and \
-                self.sha256_backend not in SHA256_BACKENDS:
-            raise ValueError(
-                f"unknown sha256 backend {self.sha256_backend!r}; "
-                f"expected one of {SHA256_BACKENDS}")
-        if self.executor is not None:
-            from .. import parallel  # lazy: keeps this module at the bottom
-
-            parallel.get_executor_spec(self.executor)  # validates
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if self.fleet_sessions is not None and \
-                not isinstance(self.fleet_sessions, bool):
-            raise TypeError("fleet_sessions must be a bool or None")
-        if self.fleet_timeout is not None:
-            if isinstance(self.fleet_timeout, bool) or \
-                    not isinstance(self.fleet_timeout, (int, float)):
-                raise TypeError("fleet_timeout must be a number or None")
-            if self.fleet_timeout <= 0:
-                raise ValueError("fleet_timeout must be > 0 seconds")
-            object.__setattr__(self, "fleet_timeout",
-                               float(self.fleet_timeout))
-        if self.fleet_retries is not None:
-            if isinstance(self.fleet_retries, bool) or \
-                    not isinstance(self.fleet_retries, int):
-                raise TypeError("fleet_retries must be an int or None")
-            if self.fleet_retries < 0:
-                raise ValueError("fleet_retries must be >= 0")
-        if self.fleet_on_failure is not None and \
-                self.fleet_on_failure not in FLEET_ON_FAILURE_MODES:
-            raise ValueError(
-                f"unknown fleet_on_failure mode "
-                f"{self.fleet_on_failure!r}; expected one of "
-                f"{FLEET_ON_FAILURE_MODES}")
-        if self.fleet_secret is not None:
-            if not isinstance(self.fleet_secret, str):
-                raise TypeError("fleet_secret must be a str or None")
-            if not self.fleet_secret:
-                raise ValueError(
-                    "fleet_secret must be non-empty (omit it to run "
-                    "unsigned)")
-        if self.gateway_token_file is not None and \
-                not str(self.gateway_token_file).strip():
-            raise ValueError("gateway_token_file must be a path")
-        for name, minimum in (("search_fragment_size", 1),
-                              ("search_fragment_count", 0),
-                              ("search_max_hits", 1)):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int or None")
-            if value < minimum:
-                raise ValueError(f"{name} must be >= {minimum}")
-        if self.gateway_bind is not None:
-            from ..parallel import remote  # lazy, as above
-
-            host, port = remote.parse_host(self.gateway_bind)
-            object.__setattr__(self, "gateway_bind", f"{host}:{port}")
-        if self.fleet_hosts is not None:
-            from ..parallel import remote  # lazy, as above
-
-            object.__setattr__(self, "fleet_hosts",
-                               remote.parse_hosts(self.fleet_hosts))
+        for knob in _POLICY_KNOBS:
+            value = getattr(self, knob.name)
+            if value is not None:
+                object.__setattr__(self, knob.name, knob.check(value))
 
     @contextmanager
     def use(self) -> Iterator["ExecutionPolicy"]:
@@ -389,49 +395,14 @@ def get_policy() -> Optional[ExecutionPolicy]:
 
 
 @contextmanager
-def engine(name: Optional[str] = None, *,
-           sha256: Optional[str] = None,
-           executor: Optional[str] = None,
-           max_workers: Optional[int] = None,
-           fleet_hosts: Optional[Tuple[str, ...]] = None,
-           fleet_sessions: Optional[bool] = None,
-           fleet_timeout: Optional[float] = None,
-           fleet_retries: Optional[int] = None,
-           fleet_on_failure: Optional[str] = None,
-           fleet_secret: Optional[str] = None,
-           gateway_bind: Optional[str] = None,
-           gateway_token_file: Optional[str] = None,
-           search_fragment_size: Optional[int] = None,
-           search_fragment_count: Optional[int] = None,
-           search_max_hits: Optional[int] = None
-           ) -> Iterator[ExecutionPolicy]:
-    """Scoped engine override: ``with repro.engine("scalar"): ...``.
-
-    Nested contexts stack; the innermost one that pins a given field
-    wins, so ``with engine("scalar"), engine(sha256="pure"):`` runs the
-    scalar engine *and* the pure hash.  Fleet dispatch scopes the same
-    way: ``with repro.engine(executor="thread", max_workers=4): ...``,
-    remote dispatch too: ``with repro.engine(executor="rpc",
-    fleet_hosts=("db1:7401", "db2:7401")): ...``, and so does fault
-    handling: ``with repro.engine(fleet_timeout=5.0, fleet_retries=2,
-    fleet_on_failure="degrade"): ...``.  Thread- and async-safe
-    (backed by a :class:`contextvars.ContextVar`).
-    """
+def engine(name: Optional[str] = None, *, sha256: Optional[str] = None,
+           **fields: Any) -> Iterator[ExecutionPolicy]:
+    """Scoped override: ``with repro.engine("scalar"): ...``; ``fields``
+    are other :class:`ExecutionPolicy` fields (``executor="rpc"``, ...).
+    Contexts nest, the innermost one that pins a field wins, and they
+    are thread- and async-safe (a :class:`contextvars.ContextVar`)."""
     with ExecutionPolicy(engine=name, sha256_backend=sha256,
-                         executor=executor,
-                         max_workers=max_workers,
-                         fleet_hosts=fleet_hosts,
-                         fleet_sessions=fleet_sessions,
-                         fleet_timeout=fleet_timeout,
-                         fleet_retries=fleet_retries,
-                         fleet_on_failure=fleet_on_failure,
-                         fleet_secret=fleet_secret,
-                         gateway_bind=gateway_bind,
-                         gateway_token_file=gateway_token_file,
-                         search_fragment_size=search_fragment_size,
-                         search_fragment_count=search_fragment_count,
-                         search_max_hits=search_max_hits
-                         ).use() as pol:
+                         **fields).use() as pol:
         yield pol
 
 
@@ -439,492 +410,87 @@ def engine(name: Optional[str] = None, *,
 # Resolution
 
 
-def _engine_from_env() -> Tuple[str, str]:
-    """(engine name, source) from the environment / default layers."""
-    value = os.environ.get(ENGINE_ENV_VAR)
-    if value is None:
-        return "vectorized", "default"
-    token = value.strip().lower()
-    if token in _ENGINES:
-        return token, "env"
-    return ("scalar" if token in _FALSEY else "vectorized"), "env"
-
-
-def _resolve_engine_name(explicit: Union[None, bool, str]) -> Tuple[str, str]:
-    """(engine name, source) through the four-layer chain."""
+def _resolve(knob: _Knob, explicit: Any) -> Tuple[Any, str]:
+    """(value, deciding layer) of one row through the resolution order.
+    Context and policy values were checked when the policy was built."""
     if explicit is not None:
-        if isinstance(explicit, bool):
-            return ("vectorized" if explicit else "scalar"), "explicit"
-        get_engine(explicit)  # validates
-        return explicit, "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.engine is not None:
-            return frame.engine, "context"
-    if _POLICY is not None and _POLICY.engine is not None:
-        return _POLICY.engine, "policy"
-    return _engine_from_env()
+        return knob.check(explicit), "explicit"
+    if knob.policy:
+        overrides = _OVERRIDES.get()
+        if overrides:  # the common empty case skips building an iterator
+            for frame in reversed(overrides):
+                value = getattr(frame, knob.name)
+                if value is not None:
+                    return value, "context"
+        if _POLICY is not None:
+            value = getattr(_POLICY, knob.name)
+            if value is not None:
+                return value, "policy"
+    raw = os.environ.get(knob.env)
+    if raw is not None:
+        value = knob.parse(raw, knob.check)
+        if value is not _IGNORE:
+            return value, "env"
+    return knob.default, "default"
 
 
 def resolve_engine(explicit: Union[None, bool, str] = None) -> EngineSpec:
-    """Resolve the active engine through the documented order.
-
-    ``explicit`` may be a registered engine name, a bare bool (the
-    legacy ``vectorized=``/``span_engine=`` flags map ``True`` to
-    ``"vectorized"`` and ``False`` to ``"scalar"``), or None to defer
-    to context / policy / environment / default.
-    """
-    return get_engine(_resolve_engine_name(explicit)[0])
+    """The active engine; ``explicit`` is a name or a legacy bool flag."""
+    return get_engine(_resolve(_ENGINE, explicit)[0])
 
 
 def resolve_vectorized(explicit: Union[None, bool, str] = None) -> bool:
-    """Whether the active engine runs the vectorized fast paths.
-
-    This is the call every former ``span_engine_default()`` site goes
-    through; it is evaluated lazily at each decision point.
-    """
-    if explicit is None:
-        # fast path: no explicit pin, walk the chain inline
-        # (get_engine, not a bare dict lookup, so a policy/context
-        # naming a since-unregistered engine fails with the same
-        # descriptive ValueError as the resolve_engine path)
-        overrides = _OVERRIDES.get()
-        if overrides:
-            for frame in reversed(overrides):
-                if frame.engine is not None:
-                    return get_engine(frame.engine).vectorized
-        if _POLICY is not None and _POLICY.engine is not None:
-            return get_engine(_POLICY.engine).vectorized
-        value = os.environ.get(ENGINE_ENV_VAR)
-        if value is None:
-            return True
-        token = value.strip().lower()
-        if token in _ENGINES:
-            return _ENGINES[token].vectorized
-        return token not in _FALSEY
-    return resolve_engine(explicit).vectorized
+    """Whether the active engine runs the vectorized fast paths."""
+    return get_engine(_resolve(_ENGINE, explicit)[0]).vectorized
 
 
 def resolve_sha256_backend(explicit: Optional[str] = None) -> str:
-    """Resolve the SHA-256 backend name through the same chain."""
-    if explicit is not None:
-        if explicit not in SHA256_BACKENDS:
-            raise ValueError(f"unknown sha256 backend: {explicit!r}")
-        return explicit
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.sha256_backend is not None:
-            return frame.sha256_backend
-    if _POLICY is not None and _POLICY.sha256_backend is not None:
-        return _POLICY.sha256_backend
-    value = os.environ.get(SHA256_ENV_VAR)
-    if value is not None and value.strip().lower() in SHA256_BACKENDS:
-        return value.strip().lower()
-    return "hashlib"
+    """The SHA-256 backend name."""
+    return _resolve(_SHA256, explicit)[0]
 
 
-def _executor_from_env() -> Tuple[str, str]:
-    """(executor name, source) from the environment / default layers.
-
-    An env value naming an unregistered executor is ignored (like the
-    engine variable's unknown-token handling, a stale export must not
-    crash a fleet node) and the default dispatch applies.
-    """
-    value = os.environ.get(EXECUTOR_ENV_VAR)
-    if value is not None:
-        token = value.strip().lower()
-        from .. import parallel  # lazy; registers the built-ins
-
-        if token in parallel.available_executors():
-            return token, "env"
-    return DEFAULT_EXECUTOR, "default"
+def _alias(knob: _Knob, name: str = "") -> Callable[..., Tuple[Any, str]]:
+    def resolve(explicit: Any = None) -> Tuple[Any, str]:
+        return _resolve(knob, explicit)
+    resolve.__name__ = resolve.__qualname__ = name or f"resolve_{knob.name}"
+    resolve.__doc__ = (f"(``{knob.name}`` value, deciding layer); see "
+                       "API.md §Execution policy.")
+    return resolve
 
 
-def resolve_executor_name(explicit: Optional[str] = None) -> Tuple[str, str]:
-    """(executor name, deciding layer) through the four-layer chain.
-
-    ``explicit`` must be a registered executor name or None; the env
-    variable is read *now* (exporting ``REPRO_FLEET_EXECUTOR`` after
-    ``import repro`` — or after building the scheduler — works).
-    """
-    if explicit is not None:
-        from .. import parallel
-
-        parallel.get_executor_spec(explicit)  # validates
-        return explicit, "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.executor is not None:
-            return frame.executor, "context"
-    if _POLICY is not None and _POLICY.executor is not None:
-        return _POLICY.executor, "policy"
-    return _executor_from_env()
-
-
-def resolve_max_workers(
-        explicit: Optional[int] = None) -> Tuple[Optional[int], str]:
-    """(worker bound, deciding layer); None means one per CPU core."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("max_workers must be >= 1")
-        return explicit, "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.max_workers is not None:
-            return frame.max_workers, "context"
-    if _POLICY is not None and _POLICY.max_workers is not None:
-        return _POLICY.max_workers, "policy"
-    value = os.environ.get(FLEET_WORKERS_ENV_VAR)
-    if value is not None:
-        try:
-            workers = int(value.strip())
-        except ValueError:
-            workers = 0
-        if workers >= 1:
-            return workers, "env"
-    return None, "default"
-
-
-def resolve_fleet_hosts(
-        explicit: Union[None, str, Tuple[str, ...]] = None
-) -> Tuple[Optional[Tuple[str, ...]], str]:
-    """(canonical host tuple or None, deciding layer) for the ``rpc``
-    executor's worker set.
-
-    ``explicit`` may be a host sequence or one comma-separated string;
-    None walks context > installed policy > ``REPRO_FLEET_HOSTS`` (read
-    *now*, so exporting it after the scheduler exists works).  None
-    with source ``"default"`` means no layer names hosts — the rpc
-    executor turns that into a descriptive error at dispatch.
-    """
-    if explicit is not None:
-        from ..parallel import remote  # lazy: only parsing needs it
-
-        return remote.parse_hosts(explicit), "explicit"
-    # context/policy values were canonicalised by ExecutionPolicy
-    # validation, so these layers resolve without ever loading the
-    # wire-protocol module (describe_policy() must stay cheap)
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.fleet_hosts is not None:
-            return frame.fleet_hosts, "context"
-    if _POLICY is not None and _POLICY.fleet_hosts is not None:
-        return _POLICY.fleet_hosts, "policy"
-    value = os.environ.get(FLEET_HOSTS_ENV_VAR)
-    if value is not None and value.strip():
-        from ..parallel import remote  # lazy, as above
-
-        return remote.parse_hosts(value), "env"
-    return None, "default"
-
-
-def resolve_fleet_sessions(
-        explicit: Optional[bool] = None) -> Tuple[bool, str]:
-    """(session mode on?, deciding layer) for the ``rpc`` executor.
-
-    The value is a plain bool through every layer — resolving it (and
-    therefore :func:`describe_policy`) never loads the wire-protocol
-    module.  ``REPRO_FLEET_SESSIONS`` is read *now*; any value outside
-    the falsey tokens enables sessions.  Default: off.
-    """
-    if explicit is not None:
-        return bool(explicit), "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.fleet_sessions is not None:
-            return frame.fleet_sessions, "context"
-    if _POLICY is not None and _POLICY.fleet_sessions is not None:
-        return _POLICY.fleet_sessions, "policy"
-    value = os.environ.get(FLEET_SESSIONS_ENV_VAR)
-    if value is not None and value.strip():
-        return value.strip().lower() not in _FALSEY, "env"
-    return False, "default"
-
-
-def resolve_fleet_timeout(
-        explicit: Optional[float] = None) -> Tuple[Optional[float], str]:
-    """(per-request deadline in seconds or None, deciding layer) for
-    the ``rpc`` executor.
-
-    None means no deadline — a hung worker blocks until an external
-    fault (peer death, connection reset) surfaces.  The env value is
-    read *now*; ``REPRO_FLEET_TIMEOUT=0`` (or negative) is an explicit
-    disable, an unparsable value is ignored.
-    """
-    if explicit is not None:
-        if explicit <= 0:
-            raise ValueError("fleet timeout must be > 0 seconds")
-        return float(explicit), "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.fleet_timeout is not None:
-            return frame.fleet_timeout, "context"
-    if _POLICY is not None and _POLICY.fleet_timeout is not None:
-        return _POLICY.fleet_timeout, "policy"
-    value = os.environ.get(FLEET_TIMEOUT_ENV_VAR)
-    if value is not None and value.strip():
-        try:
-            seconds = float(value.strip())
-        except ValueError:
-            return None, "default"
-        return (seconds if seconds > 0 else None), "env"
-    return None, "default"
-
-
-def resolve_fleet_retries(
-        explicit: Optional[int] = None) -> Tuple[int, str]:
-    """(failover re-dispatch budget, deciding layer) for the ``rpc``
-    executor.
-
-    ``0`` (the default) keeps the fail-fast contract: the first host
-    loss aborts the pass.  A negative or unparsable env value is
-    ignored.
-    """
-    if explicit is not None:
-        if isinstance(explicit, bool) or not isinstance(explicit, int):
-            raise TypeError("fleet retries must be an int or None")
-        if explicit < 0:
-            raise ValueError("fleet retries must be >= 0")
-        return explicit, "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.fleet_retries is not None:
-            return frame.fleet_retries, "context"
-    if _POLICY is not None and _POLICY.fleet_retries is not None:
-        return _POLICY.fleet_retries, "policy"
-    value = os.environ.get(FLEET_RETRIES_ENV_VAR)
-    if value is not None and value.strip():
-        try:
-            waves = int(value.strip())
-        except ValueError:
-            waves = -1
-        if waves >= 0:
-            return waves, "env"
-    return 0, "default"
-
-
-def resolve_fleet_on_failure(
-        explicit: Optional[str] = None) -> Tuple[str, str]:
-    """(exhausted-member mode, deciding layer) for the ``rpc``
-    executor: ``"raise"`` (default, abort the pass) or ``"degrade"``
-    (partial pass with typed ``MemberFailure`` records).  An env value
-    outside the recognised modes is ignored.
-    """
-    if explicit is not None:
-        if explicit not in FLEET_ON_FAILURE_MODES:
-            raise ValueError(
-                f"unknown fleet on_failure mode {explicit!r}; "
-                f"expected one of {FLEET_ON_FAILURE_MODES}")
-        return explicit, "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.fleet_on_failure is not None:
-            return frame.fleet_on_failure, "context"
-    if _POLICY is not None and _POLICY.fleet_on_failure is not None:
-        return _POLICY.fleet_on_failure, "policy"
-    value = os.environ.get(FLEET_ON_FAILURE_ENV_VAR)
-    if value is not None:
-        token = value.strip().lower()
-        if token in FLEET_ON_FAILURE_MODES:
-            return token, "env"
-    return "raise", "default"
-
-
-def resolve_fleet_secret(
-        explicit: Optional[str] = None) -> Tuple[Optional[str], str]:
-    """(shared frame-signing secret or None, deciding layer) for the
-    ``rpc`` executor's wire protocol.
-
-    None means unsigned frames (the PR 5 trusted-network transport);
-    any resolved secret makes both sides sign every frame and reject
-    unsigned ones.  ``REPRO_FLEET_SECRET`` is read *now*; a
-    whitespace-only value is an explicit disable.
-    """
-    if explicit is not None:
-        if not isinstance(explicit, str) or not explicit:
-            raise ValueError(
-                "fleet secret must be a non-empty string (omit it to "
-                "run unsigned)")
-        return explicit, "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.fleet_secret is not None:
-            return frame.fleet_secret, "context"
-    if _POLICY is not None and _POLICY.fleet_secret is not None:
-        return _POLICY.fleet_secret, "policy"
-    value = os.environ.get(FLEET_SECRET_ENV_VAR)
-    if value is not None and value.strip():
-        return value.strip(), "env"
-    return None, "default"
-
-
-def resolve_gateway_bind(
-        explicit: Optional[str] = None) -> Tuple[str, str]:
-    """(canonical ``host:port`` bind address, deciding layer) for the
-    HTTP gateway (:mod:`repro.gateway`).  Defaults to loopback
-    (:data:`DEFAULT_GATEWAY_BIND`) — exposing the service on a real
-    interface is always a deliberate choice."""
-    if explicit is not None:
-        from ..parallel.remote import parse_host  # lazy: only parsing
-
-        host, port = parse_host(explicit)
-        return f"{host}:{port}", "explicit"
-    # context/policy values were canonicalised by ExecutionPolicy
-    # validation; the default is literal — so describe_policy() keeps
-    # its no-wire-protocol-import guarantee on those layers
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.gateway_bind is not None:
-            return frame.gateway_bind, "context"
-    if _POLICY is not None and _POLICY.gateway_bind is not None:
-        return _POLICY.gateway_bind, "policy"
-    value = os.environ.get(GATEWAY_BIND_ENV_VAR)
-    if value is not None and value.strip():
-        from ..parallel.remote import parse_host  # lazy, as above
-
-        host, port = parse_host(value)
-        return f"{host}:{port}", "env"
-    return DEFAULT_GATEWAY_BIND, "default"
-
-
-def resolve_gateway_token_file(
-        explicit: Optional[str] = None) -> Tuple[Optional[str], str]:
-    """(token file path or None, deciding layer) for the HTTP
-    gateway's bearer tokens.  The inline spec variable
-    (:data:`GATEWAY_TOKENS_ENV_VAR`) is separate and takes precedence
-    in :meth:`repro.gateway.GatewaySettings.resolve` — secret material
-    itself never lives in a policy object, only a path to it may."""
-    if explicit is not None:
-        if not str(explicit).strip():
-            raise ValueError("gateway token file must be a path")
-        return str(explicit), "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.gateway_token_file is not None:
-            return frame.gateway_token_file, "context"
-    if _POLICY is not None and _POLICY.gateway_token_file is not None:
-        return _POLICY.gateway_token_file, "policy"
-    value = os.environ.get(GATEWAY_TOKEN_FILE_ENV_VAR)
-    if value is not None and value.strip():
-        return value.strip(), "env"
-    return None, "default"
-
-
-def _resolve_search_int(explicit: Optional[int], *, attr: str,
-                        env_var: str, default: int,
-                        minimum: int) -> Tuple[int, str]:
-    """Shared five-layer walk for the search layer's integer knobs
-    (fragment size / fragment count / max hits).  A below-minimum or
-    unparsable env value is ignored, like the other fleet knobs."""
-    if explicit is not None:
-        if isinstance(explicit, bool) or not isinstance(explicit, int):
-            raise TypeError(f"{attr} must be an int or None")
-        if explicit < minimum:
-            raise ValueError(f"{attr} must be >= {minimum}")
-        return explicit, "explicit"
-    for frame in reversed(_OVERRIDES.get()):
-        value = getattr(frame, attr)
-        if value is not None:
-            return value, "context"
-    if _POLICY is not None and getattr(_POLICY, attr) is not None:
-        return getattr(_POLICY, attr), "policy"
-    raw = os.environ.get(env_var)
-    if raw is not None and raw.strip():
-        try:
-            value = int(raw.strip())
-        except ValueError:
-            value = minimum - 1
-        if value >= minimum:
-            return value, "env"
-    return default, "default"
-
-
-def resolve_search_fragment_size(
-        explicit: Optional[int] = None) -> Tuple[int, str]:
-    """(highlighter fragment size in characters, deciding layer) for
-    the evidence-search layer (:mod:`repro.search`)."""
-    return _resolve_search_int(
-        explicit, attr="search_fragment_size",
-        env_var=SEARCH_FRAGMENT_SIZE_ENV_VAR,
-        default=DEFAULT_SEARCH_FRAGMENT_SIZE, minimum=1)
-
-
-def resolve_search_fragment_count(
-        explicit: Optional[int] = None) -> Tuple[int, str]:
-    """(highlighted fragments per hit, deciding layer); ``0`` means
-    the whole text, highlighted (the openaleph convention)."""
-    return _resolve_search_int(
-        explicit, attr="search_fragment_count",
-        env_var=SEARCH_FRAGMENT_COUNT_ENV_VAR,
-        default=DEFAULT_SEARCH_FRAGMENT_COUNT, minimum=0)
-
-
-def resolve_search_max_hits(
-        explicit: Optional[int] = None) -> Tuple[int, str]:
-    """(hits one search returns, deciding layer).  Facet aggregations
-    always cover the full match set regardless of this bound."""
-    return _resolve_search_int(
-        explicit, attr="search_max_hits",
-        env_var=SEARCH_MAX_HITS_ENV_VAR,
-        default=DEFAULT_SEARCH_MAX_HITS, minimum=1)
+resolve_executor_name = _alias(_EXECUTOR, "resolve_executor_name")
+resolve_max_workers = _alias(_MAX_WORKERS)
+resolve_fleet_hosts = _alias(_FLEET_HOSTS)
+resolve_fleet_sessions = _alias(_FLEET_SESSIONS)
+resolve_fleet_timeout = _alias(_FLEET_TIMEOUT)
+resolve_fleet_retries = _alias(_FLEET_RETRIES)
+resolve_fleet_on_failure = _alias(_FLEET_ON_FAILURE)
+resolve_fleet_secret = _alias(_FLEET_SECRET)
+resolve_gateway_bind = _alias(_GATEWAY_BIND)
+resolve_gateway_token_file = _alias(_GATEWAY_TOKEN_FILE)
+resolve_search_fragment_size = _alias(_SEARCH_FRAGMENT_SIZE)
+resolve_search_fragment_count = _alias(_SEARCH_FRAGMENT_COUNT)
+resolve_search_max_hits = _alias(_SEARCH_MAX_HITS)
 
 
 def describe_policy() -> Dict[str, object]:
     """Inspectable snapshot of the resolution: what would run now, and
     which layer decided it.  The answer an operator needs when a fleet
     node is mysteriously slow (e.g. a pinned pure SHA-256 backend)."""
-    name, source = _resolve_engine_name(None)
-    sha = resolve_sha256_backend()
-    sha_source = "default"
-    for frame in reversed(_OVERRIDES.get()):
-        if frame.sha256_backend is not None:
-            sha_source = "context"
-            break
-    else:
-        if _POLICY is not None and _POLICY.sha256_backend is not None:
-            sha_source = "policy"
-        elif os.environ.get(SHA256_ENV_VAR, "").strip().lower() in SHA256_BACKENDS:
-            sha_source = "env"
-    executor, executor_source = resolve_executor_name()
-    max_workers, workers_source = resolve_max_workers()
-    fleet_hosts, hosts_source = resolve_fleet_hosts()
-    fleet_sessions, sessions_source = resolve_fleet_sessions()
-    fleet_timeout, timeout_source = resolve_fleet_timeout()
-    fleet_retries, retries_source = resolve_fleet_retries()
-    fleet_on_failure, on_failure_source = resolve_fleet_on_failure()
-    fleet_secret, secret_source = resolve_fleet_secret()
-    gateway_bind, gateway_bind_source = resolve_gateway_bind()
-    token_file, token_file_source = resolve_gateway_token_file()
-    fragment_size, fragment_size_source = resolve_search_fragment_size()
-    fragment_count, fragment_count_source = \
-        resolve_search_fragment_count()
-    max_hits, max_hits_source = resolve_search_max_hits()
     from .. import parallel  # lazy; registers the built-in executors
 
-    return {
-        "engine": name,
-        "engine_source": source,
-        "vectorized": _ENGINES[name].vectorized,
-        "sha256_backend": sha,
-        "sha256_source": sha_source,
-        "executor": executor,
-        "executor_source": executor_source,
-        "max_workers": max_workers,
-        "max_workers_source": workers_source,
-        "fleet_hosts": fleet_hosts,
-        "fleet_hosts_source": hosts_source,
-        "fleet_sessions": fleet_sessions,
-        "fleet_sessions_source": sessions_source,
-        "fleet_timeout": fleet_timeout,
-        "fleet_timeout_source": timeout_source,
-        "fleet_retries": fleet_retries,
-        "fleet_retries_source": retries_source,
-        "fleet_on_failure": fleet_on_failure,
-        "fleet_on_failure_source": on_failure_source,
-        # the secret's *presence* is operational state; its value is
-        # secret material and never appears in a diagnostics dump
-        "fleet_secret_set": fleet_secret is not None,
-        "fleet_secret_source": secret_source,
-        "gateway_bind": gateway_bind,
-        "gateway_bind_source": gateway_bind_source,
-        "gateway_token_file": token_file,
-        "gateway_token_file_source": token_file_source,
-        "search_fragment_size": fragment_size,
-        "search_fragment_size_source": fragment_size_source,
-        "search_fragment_count": fragment_count,
-        "search_fragment_count_source": fragment_count_source,
-        "search_max_hits": max_hits,
-        "search_max_hits_source": max_hits_source,
-        "available_engines": available_engines(),
-        "available_executors": parallel.available_executors(),
-        "installed_policy": _POLICY,
-        "active_overrides": len(_OVERRIDES.get()),
-    }
+    snapshot: Dict[str, object] = {}
+    for knob in _POLICY_KNOBS:
+        value, source = _resolve(knob, None)
+        if knob.secret:  # presence is operational state, the value not
+            snapshot[f"{knob.name}_set"] = value is not None
+        else:
+            snapshot[knob.name] = value
+        snapshot[knob.source_key or f"{knob.name}_source"] = source
+        if knob is _ENGINE:
+            snapshot["vectorized"] = get_engine(value).vectorized
+    snapshot.update(available_engines=available_engines(),
+                    available_executors=parallel.available_executors(),
+                    installed_policy=_POLICY,
+                    active_overrides=len(_OVERRIDES.get()))
+    return snapshot

@@ -68,7 +68,6 @@ executors and pooled rpc connections.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 import time
@@ -77,9 +76,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+from ..api import policy as _policy
 from ..api.fleet import FleetStore
 from ..errors import (
-    ConfigurationError,
     FileExistsError_,
     FileNotFoundError_,
     HeatError,
@@ -92,11 +91,7 @@ from ..search import EvidenceIndex, Query, as_query
 from . import auth as _auth
 from . import schemas as _schemas
 from .auth import AuthError, PathError, Principal, TokenTable
-from .settings import (
-    DEFAULT_GATEWAY_LOCK_MODE,
-    GATEWAY_LOCK_MODE_ENV_VAR,
-    GatewaySettings,
-)
+from .settings import GatewaySettings
 
 #: Refuse request bodies beyond this (a desynchronised or abusive
 #: client must fail fast, like MAX_FRAME_BYTES on the rpc wire).
@@ -158,22 +153,13 @@ class GatewayApp:
         #: consumers; by default the app owns a fresh one.
         self.index = index if index is not None else EvidenceIndex()
         fleet.attach_indexer(self.index)
-        if lock_mode is None:
-            if settings is not None:
-                lock_mode = settings.lock_mode
-            else:
-                lock_mode = os.environ.get(
-                    GATEWAY_LOCK_MODE_ENV_VAR,
-                    DEFAULT_GATEWAY_LOCK_MODE).strip().lower() \
-                    or DEFAULT_GATEWAY_LOCK_MODE
-        if lock_mode not in FleetStore.LOCK_MODES:
-            raise ConfigurationError(
-                f"gateway lock_mode must be one of "
-                f"{FleetStore.LOCK_MODES}, got {lock_mode!r}")
+        if lock_mode is None and settings is not None:
+            lock_mode = settings.lock_mode
         #: ``shard``: handlers dispatch under the fleet's footprint
         #: locks only; ``single``: every fleet call additionally
         #: serialises on one app-level lock (the measured baseline).
-        self.lock_mode = lock_mode
+        self.lock_mode = _policy._resolve(_policy._GATEWAY_LOCK_MODE,
+                                          lock_mode)[0]
         self._lock = threading.RLock()
         self._state = threading.Condition()
         self._inflight = 0

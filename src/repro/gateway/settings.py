@@ -2,33 +2,34 @@
 variables, not code.
 
 :class:`GatewaySettings` gathers everything ``python -m repro.gateway
-serve`` needs, each knob resolved through the established chain
-(explicit argument > ``repro.engine(...)`` context > installed policy
-> environment variable > default) and its deciding layer recorded —
-the gateway's answer to :func:`repro.api.describe_policy`:
+serve`` needs.  Every value is a row of the policy table in
+:mod:`repro.api.policy` (listed in API.md §Execution policy) and
+resolves through its one walk, the deciding layer recorded:
 
-* **bind address** — :func:`repro.api.resolve_gateway_bind`
-  (``REPRO_GATEWAY_BIND``, default loopback ``127.0.0.1:8473``);
-* **credentials** — the inline spec ``REPRO_GATEWAY_TOKENS`` wins
-  over a token file (explicit path >
-  :func:`repro.api.resolve_gateway_token_file` /
-  ``REPRO_GATEWAY_TOKEN_FILE``), because the inline variable is the
-  container-native deployment and the file is the mounted-secret one;
-  with neither, the gateway refuses to start;
-* **fleet shape** — gateway-local variables
-  (:data:`GATEWAY_MEMBERS_ENV_VAR` and friends) size the
-  ``FleetStore`` the service fronts; the *dispatch* of that fleet
-  (executor, worker hosts, sessions, timeouts, degrade mode, HMAC
-  secret) is deliberately NOT re-plumbed here — ``FleetStore``
-  resolves all of it through the existing policy chain at each pass,
-  so ``REPRO_FLEET_HOSTS=... REPRO_FLEET_EXECUTOR=rpc python -m
-  repro.gateway serve`` is a remote-fleet deployment with zero
-  gateway-specific wiring.
+* **bind address** — a policy row: explicit > ``repro.engine(...)``
+  context > installed policy > ``REPRO_GATEWAY_BIND`` > loopback
+  ``127.0.0.1:8473``;
+* **credentials** — explicit spec > explicit file > the inline
+  ``REPRO_GATEWAY_TOKENS`` spec > the ``gateway_token_file`` policy
+  row (``REPRO_GATEWAY_TOKEN_FILE``); the inline variable is the
+  container-native deployment and the file the mounted-secret one.
+  With neither, the gateway refuses to start;
+* **fleet shape and lock mode** — gateway rows with no policy field
+  (the fleet *shape* is a service property, not an execution-policy
+  switch): explicit > ``REPRO_GATEWAY_MEMBERS`` / ``_SEED`` /
+  ``_BLOCKS`` / ``_LOCK_MODE`` > default.  A bad value raises
+  ``ConfigurationError``.
+
+The *dispatch* of the fleet (executor, worker hosts, sessions,
+timeouts, degrade mode, HMAC secret) is deliberately not re-plumbed
+here: ``FleetStore`` resolves it through the policy chain at each
+pass, so ``REPRO_FLEET_HOSTS=... REPRO_FLEET_EXECUTOR=rpc python -m
+repro.gateway serve`` is a remote-fleet deployment with zero
+gateway-specific wiring.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
@@ -38,35 +39,21 @@ from ..api.store import StoreConfig
 from ..errors import ConfigurationError
 from .auth import TokenTable
 
-#: Fleet members the serve CLI provisions (gateway-local: the fleet
-#: *shape* is a service property, not an execution-policy switch).
-GATEWAY_MEMBERS_ENV_VAR = "REPRO_GATEWAY_MEMBERS"
-GATEWAY_SEED_ENV_VAR = "REPRO_GATEWAY_SEED"
-GATEWAY_BLOCKS_ENV_VAR = "REPRO_GATEWAY_BLOCKS"
+#: The fleet shape the serve CLI provisions: gateway rows of the policy
+#: table, so each name here is an alias of its row.
+GATEWAY_MEMBERS_ENV_VAR = _policy._GATEWAY_MEMBERS.env
+GATEWAY_SEED_ENV_VAR = _policy._GATEWAY_SEED.env
+GATEWAY_BLOCKS_ENV_VAR = _policy._GATEWAY_BLOCKS.env
 
 #: ``shard`` (default) dispatches tenant requests under per-member
 #: footprint locks so disjoint-member traffic overlaps; ``single``
 #: restores the one-big-lock gateway (the concurrency baseline).
-GATEWAY_LOCK_MODE_ENV_VAR = "REPRO_GATEWAY_LOCK_MODE"
+GATEWAY_LOCK_MODE_ENV_VAR = _policy._GATEWAY_LOCK_MODE.env
 
-DEFAULT_GATEWAY_MEMBERS = 4
-DEFAULT_GATEWAY_SEED = 2008
-DEFAULT_GATEWAY_BLOCKS = 512
-DEFAULT_GATEWAY_LOCK_MODE = "shard"
-
-
-def _env_int(name: str, default: int, *, minimum: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be an integer, got {raw!r}") from None
-    if value < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}")
-    return value
+DEFAULT_GATEWAY_MEMBERS = _policy._GATEWAY_MEMBERS.default
+DEFAULT_GATEWAY_SEED = _policy._GATEWAY_SEED.default
+DEFAULT_GATEWAY_BLOCKS = _policy._GATEWAY_BLOCKS.default
+DEFAULT_GATEWAY_LOCK_MODE = _policy._GATEWAY_LOCK_MODE.default
 
 
 @dataclass
@@ -102,43 +89,28 @@ class GatewaySettings:
         bind_value, bind_source = _policy.resolve_gateway_bind(bind)
         host, _sep, port_text = bind_value.rpartition(":")
         table, tokens_source = cls._resolve_tokens(tokens, token_file)
-        if lock_mode is None:
-            lock_mode = os.environ.get(
-                GATEWAY_LOCK_MODE_ENV_VAR,
-                DEFAULT_GATEWAY_LOCK_MODE).strip().lower() \
-                or DEFAULT_GATEWAY_LOCK_MODE
-        if lock_mode not in FleetStore.LOCK_MODES:
-            raise ConfigurationError(
-                f"{GATEWAY_LOCK_MODE_ENV_VAR} must be one of "
-                f"{FleetStore.LOCK_MODES}, got {lock_mode!r}")
         return cls(
-            lock_mode=lock_mode,
             host=host, port=int(port_text), bind_source=bind_source,
             tokens=table, tokens_source=tokens_source,
-            members=members if members is not None else _env_int(
-                GATEWAY_MEMBERS_ENV_VAR, DEFAULT_GATEWAY_MEMBERS,
-                minimum=1),
-            seed=seed if seed is not None else _env_int(
-                GATEWAY_SEED_ENV_VAR, DEFAULT_GATEWAY_SEED, minimum=0),
-            total_blocks=total_blocks if total_blocks is not None
-            else _env_int(GATEWAY_BLOCKS_ENV_VAR,
-                          DEFAULT_GATEWAY_BLOCKS, minimum=64))
+            members=_policy._resolve(_policy._GATEWAY_MEMBERS, members)[0],
+            seed=_policy._resolve(_policy._GATEWAY_SEED, seed)[0],
+            total_blocks=_policy._resolve(
+                _policy._GATEWAY_BLOCKS, total_blocks)[0],
+            lock_mode=_policy._resolve(
+                _policy._GATEWAY_LOCK_MODE, lock_mode)[0])
 
     @staticmethod
     def _resolve_tokens(tokens: Optional[str],
                         token_file: Optional[str]) -> "tuple[TokenTable, str]":
-        if tokens is not None:
-            return TokenTable.from_spec(tokens, where="explicit spec"), \
-                "explicit"
-        if token_file is None:
-            inline = os.environ.get(_policy.GATEWAY_TOKENS_ENV_VAR)
-            if inline is not None and inline.strip():
-                return TokenTable.from_spec(
-                    inline, where=_policy.GATEWAY_TOKENS_ENV_VAR), "env"
-            token_file, file_source = \
-                _policy.resolve_gateway_token_file(None)
-        else:
-            file_source = "explicit"
+        if tokens is not None or token_file is None:
+            tokens, source = _policy._resolve(_policy._GATEWAY_TOKENS,
+                                              tokens)
+            if tokens is not None:
+                where = "explicit spec" if source == "explicit" \
+                    else _policy.GATEWAY_TOKENS_ENV_VAR
+                return TokenTable.from_spec(tokens, where=where), source
+        token_file, file_source = \
+            _policy.resolve_gateway_token_file(token_file)
         if token_file is None:
             raise ConfigurationError(
                 "no gateway credentials configured: set "

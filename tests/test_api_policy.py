@@ -22,6 +22,7 @@ from repro.api.policy import (
     unregister_engine,
 )
 from repro.crypto import crc, manchester, sha256
+from repro.errors import ConfigurationError
 
 
 @pytest.fixture(autouse=True)
@@ -258,18 +259,6 @@ def test_line_hash_identical_across_backends():
 # -- deprecation shims --------------------------------------------------------
 
 
-def test_span_engine_default_shim_warns_and_matches(monkeypatch):
-    from repro.vectorize import span_engine_default
-
-    with pytest.warns(DeprecationWarning):
-        assert span_engine_default() is True
-    monkeypatch.setenv(pol.ENGINE_ENV_VAR, "0")
-    with pytest.warns(DeprecationWarning):
-        assert span_engine_default() is False
-    with engine("vectorized"), pytest.warns(DeprecationWarning):
-        assert span_engine_default() is True
-
-
 def test_fleet_scheduler_raw_device_shim_warns():
     from repro.device.sero import SERODevice
     from repro.workloads.fleet import FleetScheduler
@@ -367,3 +356,131 @@ def test_gateway_token_file_resolution_layers(monkeypatch):
 
     assert pol.resolve_gateway_token_file("/x/tk") == \
         ("/x/tk", "explicit")
+
+
+# -- the settings table: one check, one walk, every row -------------------------
+
+#: Bad values per policy row.  The explicit argument and the policy
+#: field run the same check, so both must reject each value with the
+#: same exception type.
+BAD_VALUES = {
+    "engine": ("warp-drive", ["vectorized"]),
+    "sha256_backend": ("md5",),
+    "executor": ("teleport",),
+    "max_workers": (0, 2.5, True, "3"),
+    "fleet_hosts": ("nonsense", "h:1,h:1"),
+    "fleet_sessions": ("no", 1),
+    "fleet_timeout": (0, -1.0, True, "5"),
+    "fleet_retries": (-1, 1.5, True),
+    "fleet_on_failure": ("explode",),
+    "fleet_secret": ("", 123),
+    "gateway_bind": ("nonsense", "h:99999"),
+    "gateway_token_file": ("", "  ", 5),
+    "search_fragment_size": (0, True, "80"),
+    "search_fragment_count": (-1, 1.0),
+    "search_max_hits": (0, "50"),
+}
+
+
+def _public_resolver(name):
+    return getattr(pol, "resolve_executor_name" if name == "executor"
+                   else f"resolve_{name}")
+
+
+def test_bad_values_cover_every_policy_row():
+    assert set(BAD_VALUES) == {k.name for k in pol._KNOBS if k.policy}
+
+
+@pytest.mark.parametrize("name,bad", [
+    (name, bad) for name, values in BAD_VALUES.items() for bad in values
+], ids=lambda v: repr(v))
+def test_explicit_and_policy_paths_share_one_check(name, bad):
+    with pytest.raises(Exception) as explicit:
+        _public_resolver(name)(bad)
+    with pytest.raises(Exception) as field:
+        ExecutionPolicy(**{name: bad})
+    assert type(explicit.value) is type(field.value)
+
+
+IGNORED = object()
+
+#: Per row: (valid env text, its value, junk env text, what the junk
+#: gives — IGNORED (the default), an exception type, or a (value,
+#: source) pair — then a policy-layer and a context-layer value; the
+#: gateway rows have no policy field, so no layer values).
+ROWS = {
+    "engine": ("off", "scalar", "warp-drive", ("vectorized", "env"),
+               "vectorized", "scalar"),
+    "sha256_backend": ("PURE", "pure", "md5", IGNORED, "hashlib", "pure"),
+    "executor": ("Thread", "thread", "teleport", IGNORED, "process",
+                 "serial"),
+    "max_workers": ("3", 3, "zero", IGNORED, 5, 2),
+    "fleet_hosts": ("h2:2, h1:1", ("h1:1", "h2:2"), "nonsense",
+                    ConfigurationError, ("p:1",), ("c:1",)),
+    "fleet_sessions": ("yes", True, "  ", IGNORED, False, True),
+    "fleet_timeout": ("2.5", 2.5, "soon", IGNORED, 7.0, 0.5),
+    "fleet_retries": ("3", 3, "-2", IGNORED, 1, 2),
+    "fleet_on_failure": ("degrade", "degrade", "explode", IGNORED, "raise",
+                         "degrade"),
+    "fleet_secret": ("env-key", "env-key", "   ", IGNORED, "policy-key",
+                     "context-key"),
+    "gateway_bind": ("0.0.0.0:9100", "0.0.0.0:9100", "nonsense",
+                     ConfigurationError, "127.0.0.1:9200", "127.0.0.1:9300"),
+    "gateway_token_file": ("/etc/tk", "/etc/tk", "  ", IGNORED, "/srv/tk",
+                           "/ctx/tk"),
+    "search_fragment_size": ("40", 40, "0", IGNORED, 60, 20),
+    "search_fragment_count": ("0", 0, "-1", IGNORED, 2, 5),
+    "search_max_hits": ("10", 10, "many", IGNORED, 20, 30),
+    "gateway_lock_mode": ("SINGLE", "single", "banana", ConfigurationError,
+                          None, None),
+    "gateway_members": ("2", 2, "zero", ConfigurationError, None, None),
+    "gateway_seed": ("7", 7, "-1", ConfigurationError, None, None),
+    "gateway_blocks": ("128", 128, "32", ConfigurationError, None, None),
+    "gateway_tokens": ("t1=acme:rw", "t1=acme:rw", "  ", IGNORED, None,
+                       None),
+}
+
+
+def test_rows_cover_the_table():
+    assert [k.name for k in pol._KNOBS] == list(ROWS)
+
+
+@pytest.mark.parametrize("knob", pol._KNOBS, ids=lambda k: k.name)
+def test_every_row_walks_the_layers(knob, monkeypatch):
+    env_text, env_value, junk, junk_gives, policy_value, context_value = \
+        ROWS[knob.name]
+    source_key = knob.source_key or f"{knob.name}_source"
+    monkeypatch.delenv(knob.env, raising=False)
+    assert pol._resolve(knob, None) == (knob.default, "default")
+
+    monkeypatch.setenv(knob.env, env_text)
+    assert pol._resolve(knob, None) == (env_value, "env")
+    assert pol._resolve(knob, env_value) == (env_value, "explicit")
+    if knob.policy:
+        assert describe_policy()[source_key] == "env"
+
+    monkeypatch.setenv(knob.env, junk)
+    if junk_gives is IGNORED:
+        assert pol._resolve(knob, None) == (knob.default, "default")
+    elif isinstance(junk_gives, type):
+        with pytest.raises(junk_gives):
+            pol._resolve(knob, None)
+    else:
+        assert pol._resolve(knob, None) == junk_gives
+    if not knob.policy:
+        return  # gateway rows: explicit > env > default
+
+    monkeypatch.setenv(knob.env, env_text)
+    set_policy(ExecutionPolicy(**{knob.name: policy_value}))
+    assert pol._resolve(knob, None) == (policy_value, "policy")
+    with ExecutionPolicy(**{knob.name: context_value}).use():
+        assert pol._resolve(knob, None) == (context_value, "context")
+        described = describe_policy()
+    assert described[source_key] == "context"
+    if knob.secret:
+        assert described[f"{knob.name}_set"] is True
+        assert knob.name not in described
+        for secret in (env_value, policy_value, context_value):
+            assert secret not in repr(described)
+    else:
+        assert described[knob.name] == context_value

@@ -526,6 +526,9 @@ def test_fleet_archive_retrievable_from_fresh_facade():
 def test_resolve_fleet_executor_validates_max_workers():
     with pytest.raises(ValueError):
         resolve_fleet_executor("serial", max_workers=0)
+    for bad in (2.5, True):  # the max_workers row's check, as everywhere
+        with pytest.raises(TypeError):
+            resolve_fleet_executor("serial", max_workers=bad)
 
 
 def test_close_executors_idempotent():

@@ -335,6 +335,22 @@ def test_bind_and_fleet_shape_resolution(monkeypatch):
         GatewaySettings.resolve(tokens="tok1=acme:rw")
 
 
+def test_lock_mode_env_reaches_app_and_settings(monkeypatch):
+    from repro.gateway.settings import GATEWAY_LOCK_MODE_ENV_VAR
+
+    fleet = FleetStore.create(2, CONFIG)
+    monkeypatch.setenv(GATEWAY_LOCK_MODE_ENV_VAR, "single")
+    assert GatewayApp(fleet, TokenTable.from_spec(SPEC)).lock_mode == \
+        "single"
+    assert GatewaySettings.resolve(tokens="tok1=acme:rw").lock_mode == \
+        "single"
+    monkeypatch.setenv(GATEWAY_LOCK_MODE_ENV_VAR, "banana")
+    with pytest.raises(ConfigurationError):
+        GatewayApp(fleet, TokenTable.from_spec(SPEC))
+    with pytest.raises(ConfigurationError):
+        GatewaySettings.resolve(tokens="tok1=acme:rw")
+
+
 def test_check_tokens_subcommand(monkeypatch, capsys):
     from repro.gateway.__main__ import main
 
