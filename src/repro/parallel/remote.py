@@ -9,7 +9,7 @@ read-only pass sends home a ~1 kB
 loop: the same member tasks, dispatched over TCP to worker daemons on
 other hosts, byte-identical to the ``serial`` reference.
 
-Three pieces:
+Four pieces:
 
 * **wire protocol** — length-prefixed pickle frames
   (:func:`send_frame` / :func:`recv_frame`): a 4-byte magic, an 8-byte
@@ -47,10 +47,7 @@ Three pieces:
   (worker restarted, cache evicted, client-side mutation bumped the
   generation) answers ``("nopin",)`` **without running the task**, so
   the client can re-pin and resend without ever violating the
-  never-retry-after-delivery rule.  Session mode also *pipelines*: one
-  socket per host per pass, all frames written by a writer thread
-  while replies drain in order, so N members on one host cost ~one
-  round trip plus compute.  Enable with
+  never-retry-after-delivery rule.  Enable with
   ``repro.engine(fleet_sessions=True)`` / ``REPRO_FLEET_SESSIONS=1``
   or ``RpcExecutor(sessions=True)``.
 
@@ -70,12 +67,19 @@ Three pieces:
   ``REPRO_FLEET_HOSTS``), assigns member *i* to the host a
   :class:`~repro.parallel.ring.HashRing` over the host set owns —
   deterministic and stable under host lists given in any order — and
-  drives the per-host connections from a thread pool.  Connections are
-  pooled module-wide (:data:`_POOL`) so repeated passes reuse warm
-  sockets; a stale pooled connection is redialled once *before* the
-  request is delivered, while any failure after delivery raises
-  :class:`RpcConnectionError` — a task that may have executed is never
-  silently retried (a seal pass must not heat a line twice).
+  runs every pass, snapshot or session, through one dispatch core:
+  failover waves of per-host *rounds*.  A round sends all of one
+  host's requests on one socket — pipelined by a writer thread while
+  replies drain in order, so N members on one host cost ~one round
+  trip plus compute — and the rounds of a wave run on a thread pool
+  bounded by ``max_workers``.  A snapshot member is simply a round
+  request whose payload travels inline (``("run", task)``).
+  Connections are pooled module-wide (:data:`_POOL`) so repeated
+  passes reuse warm sockets; a stale pooled connection is redialled
+  once *before* the request is delivered, while any failure after
+  delivery raises :class:`RpcConnectionError` — a task that may have
+  executed is never silently retried on that host (a seal pass must
+  not heat a line twice).
 
 Failure semantics (the fault-injection contract):
 
@@ -91,10 +95,12 @@ Failure semantics (the fault-injection contract):
   carrying the remote traceback and host — and in session mode the
   worker *drops the pin* (its copy may be half-mutated) while the
   client folds nothing;
-* session pass failing on any host → no member state folded anywhere,
-  every session touched by the pass invalidated (the pinned copies may
-  have advanced without a client fold), so the next pass re-pins from
-  the caller-held state — degraded to re-shipping, never to a stale
+* pass failing on any host → no member state folded anywhere (a
+  host's round is all-or-nothing: members that already finished on a
+  round that later died re-run elsewhere or fail with it), every
+  session touched by the pass invalidated (the pinned copies may have
+  advanced without a client fold), so the next pass re-pins from the
+  caller-held state — degraded to re-shipping, never to a stale
   result.
 """
 
@@ -300,60 +306,41 @@ def send_frame(sock: socket.socket, message: Any, *,
     return payload
 
 
-def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
+def _recv_exact(sock: socket.socket, n: int, what: str) -> bytearray:
     """Read exactly ``n`` bytes or raise :class:`RpcConnectionError`.
 
     A connection dropped mid-frame surfaces here: the peer closed (or
     died) with ``what`` only partially delivered, and a partial frame
-    must never be interpreted.
+    must never be interpreted.  The buffer grows with the bytes that
+    actually arrive, so a header that merely *claims* a large payload
+    costs nothing until the payload is really sent.
     """
-    chunks: List[bytes] = []
-    got = 0
-    while got < n:
+    buffer = bytearray()
+    while len(buffer) < n:
         try:
-            chunk = sock.recv(min(n - got, 1 << 20))
+            chunk = sock.recv(min(n - len(buffer), 1 << 20))
         except TimeoutError as exc:  # the per-request socket deadline
             raise RpcTimeoutError(
-                f"socket deadline expired mid-frame ({got}/{n} bytes of "
-                f"{what}); the peer is hung or the network stalled"
-            ) from exc
+                f"socket deadline expired mid-frame ({len(buffer)}/{n} "
+                f"bytes of {what}); the peer is hung or the network "
+                "stalled") from exc
         if not chunk:
             raise RpcConnectionError(
-                f"connection closed mid-frame ({got}/{n} bytes of {what}); "
-                "the peer dropped the link or its process died")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def _recv_exact_into(sock: socket.socket, view: memoryview,
-                     what: str) -> None:
-    """Fill ``view`` from the socket or raise, like :func:`_recv_exact`
-    but without an intermediate copy (out-of-band segments)."""
-    n = len(view)
-    got = 0
-    while got < n:
-        try:
-            read = sock.recv_into(view[got:], min(n - got, 1 << 20))
-        except TimeoutError as exc:
-            raise RpcTimeoutError(
-                f"socket deadline expired mid-frame ({got}/{n} bytes of "
-                f"{what}); the peer is hung or the network stalled"
-            ) from exc
-        if not read:
-            raise RpcConnectionError(
-                f"connection closed mid-frame ({got}/{n} bytes of {what}); "
-                "the peer dropped the link or its process died")
-        got += read
+                f"connection closed mid-frame ({len(buffer)}/{n} bytes of "
+                f"{what}); the peer dropped the link or its process died")
+        buffer += chunk
+    return buffer
 
 
 def _recv_frame_counted(sock: socket.socket, *,
                         secret: Any = _AMBIENT) -> Tuple[Any, int]:
     """(message, payload bytes received) for one frame.
 
-    The out-of-band segments are received into writable buffers the
-    unpickled arrays map directly — the body never contains, and the
-    receiver never re-copies, the bulk payload.
+    The out-of-band segments become the writable buffers the unpickled
+    arrays map directly — the body never contains the bulk payload.
+    Body plus segments are capped at :data:`MAX_FRAME_BYTES` together,
+    and every buffer grows only as bytes arrive (see
+    :func:`_recv_exact`).
 
     With a ``secret`` in force, only ``SRPH`` frames are accepted and
     the trailing digest is checked with :func:`hmac.compare_digest`
@@ -408,12 +395,11 @@ def _recv_frame_counted(sock: socket.socket, *,
     for _ in range(count):
         raw_len = _recv_exact(sock, _BUF_LEN.size, "buffer header")
         nbytes = _BUF_LEN.unpack(raw_len)[0]
-        if nbytes > MAX_FRAME_BYTES:
+        if payload + nbytes > MAX_FRAME_BYTES:
             raise RpcProtocolError(
-                f"out-of-band buffer of {nbytes} bytes exceeds the "
-                f"{MAX_FRAME_BYTES}-byte cap")
-        segment = bytearray(int(nbytes))
-        _recv_exact_into(sock, memoryview(segment), "buffer segment")
+                f"out-of-band buffer of {nbytes} bytes takes the frame "
+                f"past the {MAX_FRAME_BYTES}-byte cap")
+        segment = _recv_exact(sock, int(nbytes), "buffer segment")
         if mac is not None:
             mac.update(raw_len)
             mac.update(segment)
@@ -531,6 +517,12 @@ def _execute_request(request: Any) -> Tuple[Any, bool]:
 
 
 class _WorkerHandler(socketserver.BaseRequestHandler):
+    def setup(self) -> None:
+        # replies to a pipelined round leave back to back: without
+        # TCP_NODELAY each small one after the first waits for the
+        # client's delayed ACK of the one before (~40 ms on Linux)
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
     def handle(self) -> None:  # one connection: frames until EOF
         while True:
             try:
@@ -742,40 +734,6 @@ def _recv_reply(addr: str, sock: socket.socket, *,
             f"{exc}") from exc
 
 
-def _call_worker_counted(addr: str, request: Any,
-                         deadline: Optional[float] = None,
-                         secret: Any = _AMBIENT
-                         ) -> Tuple[Any, int, int]:
-    """(reply, bytes out, bytes back) for one pooled round trip."""
-    sock, from_pool = _borrow(addr, deadline)
-    try:
-        sent = send_frame(sock, request, secret=secret)
-    except TimeoutError as exc:
-        _discard(sock)
-        raise RpcTimeoutError(
-            f"request to fleet worker at {addr} stalled past the "
-            f"socket deadline while sending") from exc
-    except (ConnectionError, OSError) as exc:
-        _discard(sock)
-        if not from_pool:
-            raise RpcConnectionError(
-                f"fleet worker at {addr} rejected the request: "
-                f"{exc}") from exc
-        # stale pooled socket: one reconnect
-        sock = _dial(addr, timeout=deadline if deadline else None)
-        sock.settimeout(deadline)
-        try:
-            sent = send_frame(sock, request, secret=secret)
-        except (ConnectionError, OSError) as exc2:
-            _discard(sock)
-            raise RpcConnectionError(
-                f"fleet worker at {addr} rejected the request after "
-                f"reconnect: {exc2}") from exc2
-    response, received = _recv_reply(addr, sock, secret=secret)
-    _give_back(addr, sock)
-    return response, sent, received
-
-
 def call_worker(addr: str, request: Any, *,
                 deadline: Optional[float] = None,
                 secret: Any = _AMBIENT) -> Any:
@@ -790,7 +748,33 @@ def call_worker(addr: str, request: Any, *,
     ``deadline`` bounds every blocking socket operation of the round
     trip; expiry raises :class:`RpcTimeoutError`.
     """
-    return _call_worker_counted(addr, request, deadline, secret)[0]
+    sock, from_pool = _borrow(addr, deadline)
+    try:
+        send_frame(sock, request, secret=secret)
+    except TimeoutError as exc:
+        _discard(sock)
+        raise RpcTimeoutError(
+            f"request to fleet worker at {addr} stalled past the "
+            f"socket deadline while sending") from exc
+    except OSError as exc:
+        _discard(sock)
+        if not from_pool:
+            raise RpcConnectionError(
+                f"fleet worker at {addr} rejected the request: "
+                f"{exc}") from exc
+        # stale pooled socket: one reconnect
+        sock = _dial(addr, timeout=deadline if deadline else None)
+        sock.settimeout(deadline)
+        try:
+            send_frame(sock, request, secret=secret)
+        except OSError as exc2:
+            _discard(sock)
+            raise RpcConnectionError(
+                f"fleet worker at {addr} rejected the request after "
+                f"reconnect: {exc2}") from exc2
+    response, _received = _recv_reply(addr, sock, secret=secret)
+    _give_back(addr, sock)
+    return response
 
 
 def ping(addr: str, *, timeout: float = 5.0,
@@ -947,7 +931,13 @@ def _worker_label(addr: str) -> str:
 
 
 class _TaskPlan:
-    """One member task's dispatch plan inside a session pass."""
+    """One member task's dispatch plan.
+
+    ``store`` None means the task travels inline as ``("run", task)``
+    — snapshot mode, or a task that closes over no member store.
+    Otherwise the member is pinned under ``session`` and the task
+    travels as ``stripped`` (the store swapped for a placeholder).
+    """
 
     __slots__ = ("index", "task", "store", "stripped", "session")
 
@@ -987,19 +977,17 @@ class RpcExecutor(FleetExecutor):
             (``repro.engine(fleet_hosts=...)`` > installed policy >
             ``REPRO_FLEET_HOSTS``), so exporting the variable after the
             scheduler exists still works.
-        max_workers: bound on concurrent in-flight tasks (default: one
-            per resolved host).
+        max_workers: bound on host rounds in flight at once (default:
+            one per resolved host).  Each host's members travel on one
+            pipelined socket, so a bound below the host count queues
+            whole hosts, never splits one.
         sessions: pin members on their assigned workers and dispatch
-            passes as pipelined task descriptors instead of re-shipped
+            passes as task descriptors instead of re-shipped
             snapshots.  None resolves lazily through the policy chain
             (``repro.engine(fleet_sessions=...)`` > installed policy >
             ``REPRO_FLEET_SESSIONS``; default off).
-        pipeline: in session mode, keep every request of a host's
-            batch in flight on one socket (default).  ``False`` falls
-            back to one blocking round trip per request — the bench's
-            comparison baseline.  Ignored outside session mode.
         timeout: per-request socket deadline in seconds; a worker that
-            stops sending for this long surfaces as
+            stops sending (or reading) for this long surfaces as
             :class:`RpcTimeoutError` instead of blocking the pass
             forever.  None resolves through the policy chain
             (``repro.engine(fleet_timeout=...)`` > installed policy >
@@ -1046,7 +1034,6 @@ class RpcExecutor(FleetExecutor):
     def __init__(self, hosts: Union[None, str, Sequence[str]] = None,
                  max_workers: Optional[int] = None, *,
                  sessions: Optional[bool] = None,
-                 pipeline: Optional[bool] = None,
                  timeout: Optional[float] = None,
                  retries: Optional[int] = None,
                  on_failure: Optional[str] = None,
@@ -1054,7 +1041,6 @@ class RpcExecutor(FleetExecutor):
         self.hosts = parse_hosts(hosts) if hosts is not None else None
         self.max_workers = max_workers
         self.sessions = sessions
-        self.pipeline = pipeline
         self.timeout = timeout
         self.retries = retries
         self.on_failure = on_failure
@@ -1121,31 +1107,29 @@ class RpcExecutor(FleetExecutor):
         time.sleep(delay * (1.0 + FAILOVER_BACKOFF_JITTER
                             * random.random()))
 
-    @staticmethod
-    def _run_one(addr: str, task: MemberTask,
-                 deadline: Optional[float] = None,
-                 secret: Any = _AMBIENT
-                 ) -> Tuple[str, float, Any, int, int]:
-        response, sent, received = _call_worker_counted(
-            addr, ("run", task), deadline, secret)
-        if not isinstance(response, tuple) or not response:
-            raise RpcProtocolError(
-                f"malformed reply from fleet worker at {addr}: "
-                f"{type(response).__name__}")
-        if response[0] == "ok":
-            _tag, wall, result = response
-            return addr, float(wall), result, sent, received
-        if response[0] == "err":
-            raise RpcExecutor._member_error(addr, response)
-        raise RpcProtocolError(
-            f"unknown reply tag {response[0]!r} from worker at {addr}")
-
     def run(self, tasks: Sequence[MemberTask]) -> ExecutionOutcome:
+        """One pass as failover waves of per-host rounds.
+
+        Wave *k* places every still-pending member on a
+        :class:`HashRing` over the hosts that survived waves
+        ``0..k-1`` and drives each host's members as one round
+        (:meth:`_drive_host`) on a thread pool bounded by
+        ``max_workers``.  A host whose round died folds nothing: its
+        members — pure functions of caller-held state, whether their
+        snapshot travels inline or pinned — drop their pins and
+        re-place on the survivors, where they re-run byte-identically.
+        Member *task* errors are deterministic and never requeue; in
+        raise mode they end the pass after the wave that saw them and
+        win over wire failures.  Member state is folded only after
+        every round settled; a raise folds nothing and invalidates
+        every session the pass touched.
+        """
         n = len(tasks)
         hosts = self._resolve_hosts()
         if n == 0:
             return ExecutionOutcome(workers=0, hosts=hosts)
         from ..api import policy as _policy
+        from . import session as _session
 
         use_sessions, _source = _policy.resolve_fleet_sessions(
             self.sessions)
@@ -1162,164 +1146,10 @@ class RpcExecutor(FleetExecutor):
                 "no usable fleet worker hosts: every host's circuit "
                 f"breaker is open ({', '.join(hosts)}) and none "
                 "answered a probe; restart the workers")
-        if use_sessions:
-            return self._run_session_pass(
-                tasks, hosts, live, deadline, retries, on_failure,
-                secret)
-        return self._run_snapshot_pass(
-            tasks, hosts, live, deadline, retries, on_failure, secret)
 
-    def _run_snapshot_pass(self, tasks: Sequence[MemberTask],
-                           hosts: Tuple[str, ...], live: List[str],
-                           deadline: Optional[float], retries: int,
-                           on_failure: str,
-                           secret: Optional[str] = None
-                           ) -> ExecutionOutcome:
-        """Snapshot dispatch with bounded failover waves.
-
-        Wave *k* places every still-pending member on a
-        :class:`HashRing` over the hosts that survived waves
-        ``0..k-1``.  Safe because a failed ``run`` request folds
-        nothing anywhere — the member snapshot travelled by value and
-        the caller still holds the only authoritative copy — so a
-        re-dispatch to another host is byte-identical to a first
-        dispatch.  Member *task* exceptions are deterministic and are
-        never retried; they raise (or degrade) immediately.
-        """
-        n = len(tasks)
-        bound = self.max_workers if self.max_workers is not None \
-            else len(hosts)
-        workers = max(1, min(bound, n))
-        outcome = ExecutionOutcome(workers=workers, hosts=hosts)
-        results: List[Any] = [None] * n
-        labels: List[str] = [""] * n
-        per_worker: Dict[str, List[float]] = {}
-        tried: Dict[int, List[str]] = {i: [] for i in range(n)}
-        last_error: Dict[int, BaseException] = {}
-        pending = list(range(n))
-        wave = 0
-        with ThreadPoolExecutor(
-                max_workers=workers,
-                thread_name_prefix="rpc-client") as pool:
-            while pending:
-                ring = HashRing(tuple(live))
-                placement = {i: ring.lookup(f"member-{i}")
-                             for i in pending}
-                futures = {
-                    i: pool.submit(self._run_one, placement[i],
-                                   tasks[i], deadline, secret)
-                    for i in pending}
-                failed: List[int] = []
-                failed_hosts: set = set()
-                for i in pending:
-                    addr = placement[i]
-                    try:
-                        _addr, wall, result, sent, received = \
-                            futures[i].result()
-                    except RpcConnectionError as exc:
-                        timed_out = isinstance(exc, RpcTimeoutError)
-                        record_host_failure(addr, timed_out=timed_out)
-                        if timed_out:
-                            outcome.timeouts[addr] = \
-                                outcome.timeouts.get(addr, 0) + 1
-                        tried[i].append(addr)
-                        last_error[i] = exc
-                        failed.append(i)
-                        failed_hosts.add(addr)
-                        continue
-                    except RpcProtocolError:
-                        raise  # a bug, not a fault: never degrade
-                    except BaseException as exc:  # noqa: BLE001
-                        # the member task itself raised: the wire
-                        # round trip worked, so the host is healthy —
-                        # and the error is deterministic, so a retry
-                        # would only reproduce it
-                        record_host_success(addr)
-                        if on_failure != "degrade":
-                            raise
-                        results[i] = MemberFailure(
-                            index=i, error_type=type(exc).__name__,
-                            message=str(exc),
-                            hosts_tried=tuple(tried[i]) + (addr,),
-                            attempts=len(tried[i]) + 1)
-                        labels[i] = _worker_label(addr)
-                        continue
-                    record_host_success(addr)
-                    label = _worker_label(addr)
-                    results[i] = result
-                    labels[i] = label
-                    per_worker.setdefault(label, []).append(wall)
-                    outcome.bytes_out[addr] = \
-                        outcome.bytes_out.get(addr, 0) + sent
-                    outcome.bytes_back[addr] = \
-                        outcome.bytes_back.get(addr, 0) + received
-                pending = failed
-                if not pending:
-                    break
-                survivors = [h for h in live if h not in failed_hosts]
-                if not survivors and wave < retries:
-                    # every admitted host just failed: desperation
-                    # probe — a restarted worker still waiting out
-                    # its probation window beats aborting the pass
-                    survivors = [
-                        h for h in usable_hosts(hosts,
-                                                force_probe=True,
-                                                secret=secret)
-                        if h not in failed_hosts]
-                if wave >= retries or not survivors:
-                    break
-                for i in pending:
-                    addr = tried[i][-1]
-                    outcome.retries[addr] = \
-                        outcome.retries.get(addr, 0) + 1
-                live = survivors
-                self._backoff_sleep(wave)
-                wave += 1
-        if pending:
-            if on_failure != "degrade":
-                raise last_error[min(pending)]
-            for i in pending:
-                exc = last_error[i]
-                results[i] = MemberFailure(
-                    index=i, error_type=type(exc).__name__,
-                    message=str(exc), hosts_tried=tuple(tried[i]),
-                    attempts=len(tried[i]),
-                    timed_out=isinstance(exc, RpcTimeoutError))
-                labels[i] = _worker_label(tried[i][-1])
-        outcome.results = results
-        outcome.assignments = labels
-        outcome.failures = [r for r in results
-                            if isinstance(r, MemberFailure)]
-        outcome.worker_walls = _collect_walls(per_worker)
-        return outcome
-
-    # -- session mode -----------------------------------------------------------
-
-    def _run_session_pass(self, tasks: Sequence[MemberTask],
-                          hosts: Tuple[str, ...], live: List[str],
-                          deadline: Optional[float], retries: int,
-                          on_failure: str,
-                          secret: Optional[str] = None
-                          ) -> ExecutionOutcome:
-        """One pass in pinned-session mode: a dedicated (pipelined)
-        socket per host, member state folded only after *every* host
-        round settled, every touched session invalidated on any
-        raise-mode failure.
-
-        Failover works per *host round*: a host whose wire round died
-        folds zero partial state (the fold is the client-side
-        ``_fold_result``, which never ran), so its members' sessions
-        invalidate and the members re-place on a ring over the
-        surviving hosts — where they re-pin from caller-held state and
-        re-run byte-identically.  Member *task* errors are
-        deterministic and never requeue.
-        """
-        from . import session as _session
-
-        pipeline = self.pipeline if self.pipeline is not None else True
         plans: List[_TaskPlan] = []
         for index, task in enumerate(tasks):
-            split = _session.split_task(task)
+            split = _session.split_task(task) if use_sessions else None
             if split is None:
                 plans.append(_TaskPlan(index, task))
             else:
@@ -1327,128 +1157,105 @@ class RpcExecutor(FleetExecutor):
                 plans.append(_TaskPlan(index, task, store, stripped,
                                        _session.session_for(store)))
 
+        outcome = ExecutionOutcome(hosts=hosts)
         completed: Dict[int, Tuple[str, float, Any]] = {}
         member_failed: Dict[int, Tuple[str, BaseException]] = {}
-        wire_failed: Dict[int, Tuple[List[str], BaseException]] = {}
-        tried: Dict[int, List[str]] = {p.index: [] for p in plans}
-        bytes_out: Dict[str, int] = {}
-        bytes_back: Dict[str, int] = {}
-        retry_stats: Dict[str, int] = {}
-        timeout_stats: Dict[str, int] = {}
-        fatal: List[BaseException] = []
-        pending = list(plans)
+        last_error: Dict[int, RpcConnectionError] = {}
+        tried: Dict[int, List[str]] = {i: [] for i in range(n)}
+        bound = self.max_workers if self.max_workers is not None \
+            else len(hosts)
+        pending = plans
         wave = 0
-
-        while pending and not fatal:
-            ring = HashRing(tuple(live))
-            by_host: "OrderedDict[str, List[_TaskPlan]]" = OrderedDict()
-            for plan in pending:
-                addr = ring.lookup(f"member-{plan.index}")
-                by_host.setdefault(addr, []).append(plan)
-
-            round_results: Dict[str, Tuple[List, List, int, int]] = {}
-            round_errors: Dict[str, RpcConnectionError] = {}
-            gate = threading.Lock()
-
-            def drive(addr: str, host_plans: List[_TaskPlan]) -> None:
-                try:
-                    result = self._drive_host(
-                        addr, host_plans, pipeline, deadline, secret)
-                except RpcConnectionError as exc:
-                    with gate:
-                        round_errors[addr] = exc
-                except BaseException as exc:  # noqa: BLE001
-                    with gate:
-                        fatal.append(exc)
-                else:
-                    with gate:
-                        round_results[addr] = result
-
-            threads = [threading.Thread(target=drive, args=item,
-                                        name=f"rpc-session-{item[0]}",
-                                        daemon=True)
-                       for item in by_host.items()]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-
-            requeue: List[_TaskPlan] = []
-            for addr, host_plans in by_host.items():
-                if addr in round_results:
-                    items, errs, sent, received = round_results[addr]
-                    record_host_success(addr)
-                    bytes_out[addr] = bytes_out.get(addr, 0) + sent
-                    bytes_back[addr] = \
-                        bytes_back.get(addr, 0) + received
-                    for index, wall, result in items:
-                        completed[index] = (addr, wall, result)
-                    for plan, exc in errs:
-                        member_failed[plan.index] = (addr, exc)
-                elif addr in round_errors:
-                    exc = round_errors[addr]
-                    timed_out = isinstance(exc, RpcTimeoutError)
-                    record_host_failure(addr, timed_out=timed_out)
-                    if timed_out:
-                        timeout_stats[addr] = \
-                            timeout_stats.get(addr, 0) + 1
-                    for plan in host_plans:
-                        tried[plan.index].append(addr)
-                        if plan.session is not None:
-                            # the pinned copy's state is unknowable:
-                            # the next dispatch must re-pin from the
-                            # caller-held store
-                            plan.session.invalidate()
-                        requeue.append(plan)
-                # hosts in neither dict hit the fatal path
-
-            pending = requeue
-            if not pending or fatal:
-                break
-            survivors = [h for h in live if h not in round_errors]
-            if not survivors and wave < retries:
-                # desperation probe, as in the snapshot pass: re-admit
-                # a restarted worker ahead of its probation window
-                # rather than abort with live hosts in reach
-                survivors = [
-                    h for h in usable_hosts(hosts, force_probe=True,
-                                            secret=secret)
-                    if h not in round_errors]
-            if wave >= retries or not survivors:
-                for plan in pending:
-                    addr = tried[plan.index][-1]
-                    wire_failed[plan.index] = (
-                        list(tried[plan.index]), round_errors[addr])
-                pending = []
-                break
-            for plan in pending:
-                addr = tried[plan.index][-1]
-                retry_stats[addr] = retry_stats.get(addr, 0) + 1
-            live = survivors
-            self._backoff_sleep(wave)
-            wave += 1
-
-        if fatal or ((wire_failed or member_failed)
-                     and on_failure != "degrade"):
+        try:
+            with ThreadPoolExecutor(
+                    max_workers=max(1, min(bound, len(hosts))),
+                    thread_name_prefix="rpc-client") as pool:
+                while pending:
+                    ring = HashRing(tuple(live))
+                    by_host: Dict[str, List[_TaskPlan]] = {}
+                    for plan in pending:
+                        by_host.setdefault(
+                            ring.lookup(f"member-{plan.index}"),
+                            []).append(plan)
+                    rounds = {addr: pool.submit(self._drive_host, addr,
+                                                host_plans, deadline,
+                                                secret)
+                              for addr, host_plans in by_host.items()}
+                    pending = []
+                    fatal: Optional[BaseException] = None
+                    for addr, host_plans in by_host.items():
+                        try:
+                            items, errs, sent, received = \
+                                rounds[addr].result()
+                        except RpcConnectionError as exc:
+                            timed_out = isinstance(exc, RpcTimeoutError)
+                            record_host_failure(addr, timed_out=timed_out)
+                            if timed_out:
+                                outcome.timeouts[addr] = \
+                                    outcome.timeouts.get(addr, 0) + 1
+                            for plan in host_plans:
+                                tried[plan.index].append(addr)
+                                last_error[plan.index] = exc
+                                if plan.session is not None:
+                                    # the pinned copy's state is
+                                    # unknowable: re-pin from the
+                                    # caller-held store next time
+                                    plan.session.invalidate()
+                            pending.extend(host_plans)
+                            continue
+                        except BaseException as exc:  # noqa: BLE001
+                            # a protocol bug, not a fault: never
+                            # degraded, raised once the wave settled
+                            fatal = fatal or exc
+                            continue
+                        record_host_success(addr)
+                        outcome.bytes_out[addr] = \
+                            outcome.bytes_out.get(addr, 0) + sent
+                        outcome.bytes_back[addr] = \
+                            outcome.bytes_back.get(addr, 0) + received
+                        for index, wall, result in items:
+                            completed[index] = (addr, wall, result)
+                        for plan, exc in errs:
+                            member_failed[plan.index] = (addr, exc)
+                    if fatal is not None:
+                        raise fatal
+                    if not pending or (member_failed
+                                       and on_failure != "degrade"):
+                        break
+                    failed_hosts = {tried[p.index][-1] for p in pending}
+                    survivors = [h for h in live if h not in failed_hosts]
+                    if not survivors and wave < retries:
+                        # every admitted host just failed: desperation
+                        # probe — a restarted worker still waiting out
+                        # its probation window beats aborting the pass
+                        survivors = [
+                            h for h in usable_hosts(hosts,
+                                                    force_probe=True,
+                                                    secret=secret)
+                            if h not in failed_hosts]
+                    if wave >= retries or not survivors:
+                        break
+                    for plan in pending:
+                        addr = tried[plan.index][-1]
+                        outcome.retries[addr] = \
+                            outcome.retries.get(addr, 0) + 1
+                    live = survivors
+                    self._backoff_sleep(wave)
+                    wave += 1
+            if on_failure != "degrade":
+                if member_failed:
+                    raise member_failed[min(member_failed)][1]
+                if pending:
+                    raise last_error[min(p.index for p in pending)]
+        except BaseException:
             # the pinned copies may have advanced without a client
             # fold: nothing is folded, and every session this pass
             # touched must re-pin from caller-held state next time
             for plan in plans:
                 if plan.session is not None:
                     plan.session.invalidate()
-            if fatal:
-                raise fatal[0]
-            failures: Dict[int, BaseException] = {
-                i: exc for i, (_hosts, exc) in wire_failed.items()}
-            for i, (_addr, exc) in member_failed.items():
-                failures.setdefault(i, exc)
-            raise failures[min(failures)]
+            raise
 
-        outcome = ExecutionOutcome(workers=1, hosts=hosts)
-        outcome.bytes_out = bytes_out
-        outcome.bytes_back = bytes_back
-        outcome.retries = retry_stats
-        outcome.timeouts = timeout_stats
         per_worker: Dict[str, List[float]] = {}
         for plan in plans:
             if plan.index in completed:
@@ -1460,27 +1267,24 @@ class RpcExecutor(FleetExecutor):
                 continue
             if plan.index in member_failed:
                 addr, exc = member_failed[plan.index]
+                hosts_tried = tuple(tried[plan.index]) + (addr,)
                 if plan.session is not None:
                     # the worker ran the task far enough to raise: the
                     # pinned copy's state is unknowable
                     plan.session.invalidate()
-                failure = MemberFailure(
-                    index=plan.index, error_type=type(exc).__name__,
-                    message=str(exc),
-                    hosts_tried=tuple(tried[plan.index]) + (addr,),
-                    attempts=len(tried[plan.index]) + 1)
-                label = _worker_label(addr)
             else:
-                hosts_tried, exc = wire_failed[plan.index]
-                failure = MemberFailure(
-                    index=plan.index, error_type=type(exc).__name__,
-                    message=str(exc), hosts_tried=tuple(hosts_tried),
-                    attempts=len(hosts_tried),
-                    timed_out=isinstance(exc, RpcTimeoutError))
-                label = _worker_label(hosts_tried[-1])
+                exc = last_error[plan.index]
+                hosts_tried = tuple(tried[plan.index])
+            failure = MemberFailure(
+                index=plan.index, error_type=type(exc).__name__,
+                message=str(exc), hosts_tried=hosts_tried,
+                attempts=len(hosts_tried),
+                timed_out=isinstance(exc, RpcTimeoutError))
             outcome.results.append(failure)
-            outcome.assignments.append(label)
+            outcome.assignments.append(_worker_label(hosts_tried[-1]))
             outcome.failures.append(failure)
+        # the hosts that returned a member result: a host is the rpc
+        # executor's unit of work (one pipelined round per pass)
         outcome.workers = max(1, len(per_worker))
         outcome.worker_walls = _collect_walls(per_worker)
         return outcome
@@ -1511,7 +1315,7 @@ class RpcExecutor(FleetExecutor):
         return payload, plan.store
 
     def _drive_host(self, addr: str, plans: List[_TaskPlan],
-                    pipeline: bool, deadline: Optional[float] = None,
+                    deadline: Optional[float] = None,
                     secret: Any = _AMBIENT
                     ) -> Tuple[List, List, int, int]:
         """All of one host's requests for a pass, with one same-host
@@ -1522,10 +1326,17 @@ class RpcExecutor(FleetExecutor):
         expiries never retry on the same host: a hung worker would
         just eat a second deadline — failover handles it instead."""
         for attempt in (0, 1):
-            sock, from_pool = _borrow(addr, deadline)
+            if attempt:
+                # one dial, not DIAL_RETRIES: a restarted worker already
+                # listens, and a dead one is failover's business (the
+                # reader can hit a dead peer's EOF before the writer
+                # finished the first frame, so this path is common)
+                sock, from_pool = _dial(addr, retries=1,
+                                        timeout=deadline or None), False
+            else:
+                sock, from_pool = _borrow(addr, deadline)
             try:
-                return self._host_round(addr, sock, plans, pipeline,
-                                        secret)
+                return self._host_round(addr, sock, plans, secret)
             except _RoundFailed as failure:
                 retriable = (failure.retry_safe or
                              (failure.nothing_delivered and from_pool)) \
@@ -1539,8 +1350,7 @@ class RpcExecutor(FleetExecutor):
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _host_round(self, addr: str, sock: socket.socket,
-                    plans: List[_TaskPlan], pipeline: bool,
-                    secret: Any = _AMBIENT
+                    plans: List[_TaskPlan], secret: Any = _AMBIENT
                     ) -> Tuple[List, List, int, int]:
         from . import session as _session
 
@@ -1577,7 +1387,12 @@ class RpcExecutor(FleetExecutor):
             try:
                 nbytes = send_frame(sock, (rid, payload),
                                     secret=secret)
-            except (ConnectionError, OSError) as exc:
+            except TimeoutError as exc:  # before OSError: a subclass
+                _discard(sock)
+                raise wire_failed(RpcTimeoutError(
+                    f"request to fleet worker at {addr} stalled past "
+                    "the socket deadline while sending")) from exc
+            except OSError as exc:
                 _discard(sock)
                 raise wire_failed(RpcConnectionError(
                     f"fleet worker at {addr} rejected the request: "
@@ -1624,33 +1439,42 @@ class RpcExecutor(FleetExecutor):
                 f"unknown reply tag {tag!r} from worker at {addr}")
 
         def run_round(batch: List[Tuple[str, _TaskPlan, Tuple]]) -> None:
-            if pipeline and len(batch) > 1:
-                send_error: List[BaseException] = []
-
-                def pump() -> None:
-                    try:
-                        for rid, (_kind, _plan, payload) in \
-                                enumerate(batch):
-                            send_one(rid, payload)
-                    except BaseException as exc:  # noqa: BLE001
-                        send_error.append(exc)
-                        _discard(sock)  # unblocks the reply reader
-
-                writer = threading.Thread(
-                    target=pump, name=f"rpc-writer-{addr}", daemon=True)
-                writer.start()
-                try:
-                    for rid, (kind, plan, _payload) in enumerate(batch):
-                        recv_one(rid, kind, plan)
-                finally:
-                    writer.join()
-                if send_error and not isinstance(
-                        send_error[0], _RoundFailed):
-                    raise send_error[0]
-            else:
+            if len(batch) < 2:  # one request needs no writer thread
                 for rid, (kind, plan, payload) in enumerate(batch):
                     send_one(rid, payload)
                     recv_one(rid, kind, plan)
+                return
+            send_error: List[BaseException] = []
+
+            def pump() -> None:
+                try:
+                    for rid, (_kind, _plan, payload) in enumerate(batch):
+                        send_one(rid, payload)
+                except BaseException as exc:  # noqa: BLE001
+                    send_error.append(exc)
+                    _discard(sock)  # unblocks the reply reader
+
+            writer = threading.Thread(
+                target=pump, name=f"rpc-writer-{addr}", daemon=True)
+            writer.start()
+            try:
+                for rid, (kind, plan, _payload) in enumerate(batch):
+                    recv_one(rid, kind, plan)
+            except _RoundFailed:
+                writer.join()
+                cause = send_error[0] if send_error else None
+                # a send past the deadline (or a task that would not
+                # pickle) closed the socket under the reader: report
+                # that, not the read it cut short
+                if cause is not None and (
+                        not isinstance(cause, _RoundFailed)
+                        or isinstance(cause.error, RpcTimeoutError)):
+                    raise cause
+                raise
+            finally:
+                writer.join()
+            if send_error:
+                raise send_error[0]
 
         run_round(requests)
         retried = set()

@@ -272,17 +272,6 @@ def test_fleet_scheduler_raw_device_shim_warns():
     assert report.blocks_processed == 32
 
 
-def test_fresh_fs_shim_warns_and_matches_store():
-    from repro.security.analysis import TARGET, _fresh_fs, _fresh_store
-
-    with pytest.warns(DeprecationWarning):
-        device, fs, line = _fresh_fs(total_blocks=256)
-    store = _fresh_store(total_blocks=256)
-    assert line == store.receipts[TARGET].line_start
-    assert fs.read(TARGET) == store.get(TARGET)
-    assert device.verify_line(line).status.value == "intact"
-
-
 def test_top_level_engine_export():
     with repro.engine("scalar"):
         assert repro.api.resolve_vectorized() is False

@@ -121,4 +121,4 @@ def test_top_level_reexports():
 
 
 def test_version_is_v2():
-    assert repro.__version__ == "2.1.0"
+    assert repro.__version__ == "2.7.0"

@@ -734,3 +734,166 @@ def test_soak_trajectory_appends_and_migrates(tmp_path):
     assert len(on_disk["runs"]) == MAX_KEPT_RUNS
     assert on_disk["runs"][-1]["ops_per_second"] == \
         5.0 + MAX_KEPT_RUNS + 4
+
+
+@pytest.mark.parametrize("on_failure", ["raise", "degrade"])
+def test_session_send_stall_is_a_timeout(on_failure):
+    """A worker that accepts but never reads stalls the *send* of a
+    large request: session mode must report that as a deadline
+    (RpcTimeoutError, ``timed_out``, ``timeouts[addr]``), exactly like
+    a stalled reply — not as a plain rejected connection."""
+    from repro.parallel import MemberFailure, RpcExecutor, RpcTimeoutError, \
+        close_connection_pools, reset_host_health
+
+    gate = threading.Event()
+    server = socket.create_server(("127.0.0.1", 0))
+    addr = f"127.0.0.1:{server.getsockname()[1]}"
+    accepted = []
+
+    def accept_and_ignore():
+        conn, _peer = server.accept()
+        accepted.append(conn)
+        gate.wait(10)  # never reads a byte
+
+    thread = threading.Thread(target=accept_and_ignore, daemon=True)
+    thread.start()
+    reset_host_health()
+    try:
+        executor = RpcExecutor([addr], sessions=True, timeout=0.3,
+                               on_failure=on_failure)
+        task = partial(len, b"\0" * (64 << 20))
+        if on_failure == "raise":
+            with pytest.raises(RpcTimeoutError, match="deadline"):
+                executor.run([task])
+            return
+        outcome = executor.run([task])
+        failure = outcome.results[0]
+        assert isinstance(failure, MemberFailure)
+        assert failure.timed_out
+        assert failure.error_type == "RpcTimeoutError"
+        assert outcome.timeouts[addr] == 1
+    finally:
+        gate.set()
+        thread.join(5)
+        for conn in accepted:
+            conn.close()
+        server.close()
+        close_connection_pools()
+        reset_host_health()
+
+
+def _host_owning(keys, live_addr, accept):
+    """A bound, not-yet-listening loopback socket whose address the
+    ring over ``(live, it)`` gives a set of ``keys`` indices that
+    ``accept(owned)`` approves; returns (socket, hosts, owned).
+    Until it listens, dials to it are refused: a dead host."""
+    from repro.parallel import HashRing, parse_hosts
+
+    for _ in range(128):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        addr = f"127.0.0.1:{probe.getsockname()[1]}"
+        hosts = parse_hosts([live_addr, addr])
+        ring = HashRing(hosts)
+        owned = [i for i, key in enumerate(keys) if ring.lookup(key) == addr]
+        if accept(owned):
+            return probe, hosts, owned
+        probe.close()
+    raise AssertionError("no host with the wanted ring share in 128 draws")
+
+
+@pytest.mark.parametrize("sessions", [False, True])
+def test_raise_mode_member_error_wins_over_wire_failure(sessions):
+    """One rule for both dispatch modes: when a raise-mode pass sees a
+    deterministic member error *and* a dead host, it raises the member
+    error (of the lowest-indexed failing member) even when a dead-host
+    member has a lower index — the wire failure could only have been
+    retried into the same outcome."""
+    from repro.parallel import RpcExecutor, close_connection_pools, \
+        reset_host_health, spawn_local_worker
+
+    worker = spawn_local_worker()
+    n = 4
+    dead, hosts, owned = _host_owning(
+        [f"member-{i}" for i in range(n)], worker.address,
+        lambda owned: 0 in owned and len(owned) < n)
+    on_live = [i for i in range(n) if i not in owned]
+    tasks = [partial(int, f"nope-{i}") if i in on_live
+             else partial(divmod, 9, 4) for i in range(n)]
+    reset_host_health()
+    try:
+        executor = RpcExecutor(list(hosts), sessions=sessions, retries=0)
+        with pytest.raises(ValueError, match=f"nope-{on_live[0]}"):
+            executor.run(tasks)
+    finally:
+        dead.close()
+        worker.stop()
+        close_connection_pools()
+        reset_host_health()
+
+
+def _answer_first_then_drop(conn, n_requests):
+    """A one-connection 'worker': reads ``n_requests`` frames, answers
+    only the first, then drops the link — a host whose round dies
+    after one member already finished on it."""
+    from repro.parallel.remote import recv_frame, send_frame
+
+    request = recv_frame(conn, secret=None)
+    tagged = isinstance(request[0], int)
+    rid, (_op, task) = request if tagged else (None, request)
+    reply = ("ok", 0.0, task())
+    send_frame(conn, (rid, reply) if tagged else reply, secret=None)
+    for _ in range(n_requests - 1):
+        recv_frame(conn, secret=None)
+
+
+@pytest.mark.parametrize("retries", [0, 1])
+def test_members_of_a_dead_round_rerun_or_fail_together(retries):
+    """A host whose round dies after some of its members already
+    finished folds none of them: with a retry budget they all re-run
+    on a survivor (byte-identical), without one they all fail together
+    — never a mix of results from a round that broke."""
+    from repro.parallel import MemberFailure, RpcExecutor, \
+        close_connection_pools, reset_host_health, spawn_local_worker
+
+    worker = spawn_local_worker()
+    n = 6
+    probe, hosts, owned = _host_owning(
+        [f"member-{i}" for i in range(n)], worker.address,
+        lambda owned: len(owned) >= 2)
+    flaky = f"127.0.0.1:{probe.getsockname()[1]}"
+    probe.listen(1)
+
+    def serve_once():
+        conn, _peer = probe.accept()
+        try:
+            _answer_first_then_drop(conn, len(owned))
+        finally:
+            conn.close()
+            probe.close()
+
+    thread = threading.Thread(target=serve_once, daemon=True)
+    thread.start()
+    reset_host_health()
+    try:
+        tasks = [partial(divmod, 20 + i, 3) for i in range(n)]
+        outcome = RpcExecutor(list(hosts), retries=retries,
+                              on_failure="degrade", timeout=10.0).run(tasks)
+        expected = [divmod(20 + i, 3) for i in range(n)]
+        if retries:
+            assert outcome.results == expected
+            assert outcome.retries == {flaky: len(owned)}
+            assert set(outcome.assignments) == {f"rpc-{worker.address}"}
+        else:
+            assert [f.index for f in outcome.failures] == owned
+            for i in range(n):
+                if i in owned:
+                    assert isinstance(outcome.results[i], MemberFailure)
+                    assert outcome.results[i].hosts_tried == (flaky,)
+                else:
+                    assert outcome.results[i] == expected[i]
+    finally:
+        thread.join(10)
+        worker.stop()
+        close_connection_pools()
+        reset_host_health()

@@ -143,6 +143,148 @@ def test_truncated_frame_raises_connection_error():
         b.close()
 
 
+def test_claimed_segment_allocates_only_received_bytes():
+    """A signed-looking frame header that claims a 1 GiB out-of-band
+    segment and then closes costs the receiver only the bytes that
+    arrived: no buffer is sized from the claim before the HMAC can be
+    checked."""
+    import tracemalloc
+
+    a, b = socket.socketpair()
+    try:
+        a.sendall(b"SRPH" + (0).to_bytes(8, "big")  # empty body
+                  + (1).to_bytes(4, "big")  # one segment ...
+                  + (1 << 30).to_bytes(8, "big")  # ... of 1 GiB
+                  + b"x" * 1000)
+        a.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(RpcConnectionError, match="mid-frame"):
+                recv_frame(b, secret="fleet-key")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+    finally:
+        b.close()
+
+
+def test_frame_cap_covers_body_and_segments_together():
+    from repro.parallel import RpcProtocolError
+    from repro.parallel.remote import MAX_FRAME_BYTES
+
+    a, b = socket.socketpair()
+    try:
+        a.sendall(b"SRPC" + (16).to_bytes(8, "big") + b"\0" * 16
+                  + (1).to_bytes(4, "big")
+                  + (MAX_FRAME_BYTES - 15).to_bytes(8, "big"))
+        a.close()
+        with pytest.raises(RpcProtocolError, match="cap"):
+            recv_frame(b, secret=None)
+    finally:
+        b.close()
+
+
+def _frame_bytes(message, secret):
+    """The raw bytes :func:`send_frame` puts on the wire."""
+    a, b = socket.socketpair()
+    try:
+        send_frame(a, message, secret=secret)
+        a.close()
+        chunks = []
+        while True:
+            chunk = b.recv(1 << 16)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+    finally:
+        b.close()
+
+
+def test_mangled_signed_frames_never_reach_unpickling(monkeypatch):
+    """Hostile input at the SRPC edge: random bytes, truncation at any
+    offset, bit flips and oversized length / count / segment headers
+    all end in RpcProtocolError, RpcConnectionError or EOFError — and
+    ``pickle.loads`` never runs for a frame whose signature does not
+    verify."""
+    import pickle
+    import types
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from repro.parallel import RpcProtocolError
+    from repro.parallel import remote as remote_mod
+
+    secret = "fleet-key"
+    frames = [_frame_bytes({"n": 7}, secret),
+              _frame_bytes({"bulk": np.arange(1024, dtype=np.int64),
+                            "tag": "run"}, secret)]
+    loads_calls = []
+
+    def spy_loads(*args, **kwargs):
+        loads_calls.append(1)
+        return pickle.loads(*args, **kwargs)
+
+    monkeypatch.setattr(remote_mod, "pickle", types.SimpleNamespace(
+        loads=spy_loads, dumps=pickle.dumps,
+        PickleBuffer=pickle.PickleBuffer,
+        HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+
+    def receive(raw):
+        a, b = socket.socketpair()
+        b.settimeout(5.0)
+        try:
+            a.sendall(raw)
+            a.close()
+            return recv_frame(b, secret=secret)
+        finally:
+            b.close()
+
+    # control: an intact signed frame does reach the deserialiser
+    assert receive(frames[1])["tag"] == "run"
+    assert loads_calls == [1]
+    loads_calls.clear()
+
+    def field(frame, name):
+        body = int.from_bytes(frame[4:12], "big")
+        offset, width = {"length": (4, 8), "count": (12 + body, 4),
+                         "segment": (16 + body, 8)}[name]
+        return offset, width
+
+    @st.composite
+    def mangled(draw):
+        frame = draw(st.sampled_from(frames))
+        how = draw(st.sampled_from(["random", "truncate", "flip",
+                                    "oversize"]))
+        if how == "random":
+            return draw(st.binary(max_size=512))
+        if how == "truncate":
+            return frame[:draw(st.integers(0, len(frame) - 1))]
+        if how == "flip":
+            bit = draw(st.integers(0, len(frame) * 8 - 1))
+            raw = bytearray(frame)
+            raw[bit // 8] ^= 1 << (bit % 8)
+            return bytes(raw)
+        names = ["length", "count"] + (
+            ["segment"] if frame is frames[1] else [])
+        offset, width = field(frame, draw(st.sampled_from(names)))
+        current = int.from_bytes(frame[offset:offset + width], "big")
+        value = draw(st.integers(current + 1, (1 << (8 * width)) - 1))
+        return (frame[:offset] + value.to_bytes(width, "big")
+                + frame[offset + width:])
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=mangled())
+    def check(raw):
+        with pytest.raises((RpcProtocolError, RpcConnectionError,
+                            EOFError)):
+            receive(raw)
+        assert loads_calls == []
+
+    check()
+
+
 def test_ping_and_worker_pid(workers):
     pids = {addr: ping(addr) for addr in workers}
     assert all(isinstance(pid, int) and pid > 0 for pid in pids.values())
@@ -342,18 +484,6 @@ def test_session_rng_continuation(workers):
         pinned.audit_fleet().fingerprints()
 
 
-def test_pipelined_matches_blocking_dispatch(workers):
-    """Pipelining is a transport optimisation only: per-member results
-    and folded state must match the one-round-trip-at-a-time client."""
-    blocking = FleetScheduler.build(
-        3, 32, switching_sigma=0.02,
-        executor=RpcExecutor(workers, sessions=True, pipeline=False))
-    piped = FleetScheduler.build(
-        3, 32, switching_sigma=0.02,
-        executor=RpcExecutor(workers, sessions=True, pipeline=True))
-    assert _all_passes(blocking) == _all_passes(piped)
-
-
 def test_session_reports_wire_traffic(workers):
     """FleetOpStats/FleetReport expose per-host bytes: snapshot-sized
     while pinning, then orders of magnitude down once pinned."""
@@ -417,6 +547,50 @@ def test_report_names_hosts_and_per_host_walls(workers):
         assert wall.wall_seconds >= 0.0
     assert {d.worker.removeprefix("rpc-")
             for d in report.devices} <= set(workers)
+
+
+def _members_covering(hosts):
+    """The smallest member count the ring spreads over every host."""
+    ring = HashRing(parse_hosts(hosts))
+    seen = set()
+    for i in range(256):
+        seen.add(ring.lookup(f"member-{i}"))
+        if len(seen) == len(hosts):
+            return i + 1
+    raise AssertionError("ring never covered every host")
+
+
+@pytest.mark.parametrize("sessions", [False, True])
+def test_max_workers_bounds_host_rounds_in_both_modes(workers, sessions,
+                                                      monkeypatch):
+    """``max_workers`` bounds the host rounds in flight in snapshot and
+    session mode alike, and ``outcome.workers`` counts the hosts that
+    returned a member result — not the thread bound."""
+    n = _members_covering(workers)
+    gate = threading.Lock()
+    in_flight = [0, 0]  # current, peak
+    drive = RpcExecutor._drive_host
+
+    def traced(self, *args, **kwargs):
+        with gate:
+            in_flight[0] += 1
+            in_flight[1] = max(in_flight)
+        time.sleep(0.05)  # overlap any concurrent round
+        try:
+            return drive(self, *args, **kwargs)
+        finally:
+            with gate:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(RpcExecutor, "_drive_host", traced)
+    tasks = [partial(divmod, 10 + i, 3) for i in range(n)]
+    outcome = RpcExecutor(workers, max_workers=1,
+                          sessions=sessions).run(tasks)
+    assert in_flight[1] == 1
+    assert outcome.results == [divmod(10 + i, 3) for i in range(n)]
+    assert outcome.workers == 2
+    assert outcome.workers == len(outcome.worker_walls) == \
+        len(set(outcome.assignments))
 
 
 def test_serial_reports_have_no_hosts():
